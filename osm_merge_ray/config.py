@@ -12,7 +12,7 @@ threshold hits >= 2 (``conflator.py:286-291``), 50 km default tile grid
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class ConflationConfig:
     tile_meters: float = 50_000.0
 
     # --- execution ------------------------------------------------------------
+    #: rows per map batch of the spine's light-row stages (prepare, tag,
+    #: replicate); small read blocks are bundled up to it
     batch_size: int = 4096
-    matcher_concurrency: int | None = None  # None → let Ray size the pool
-
-    analyze_keys: tuple[str, ...] = field(
-        # conflator.py:359 / conflatePOI.py:129-131 whitelist analog
-        default=("caption", "ref", "name"),
-    )

@@ -9,6 +9,7 @@ mode (``run_checkpointed``) that the reference has no equivalent of.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -19,9 +20,11 @@ from osm_merge_ray.config import ConflationConfig
 from osm_merge_ray.geo.mercator import TileGrid
 from osm_merge_ray.image.stages import DecodeVerify
 from osm_merge_ray.stages import conflate as CF
+from osm_merge_ray.stages import partition as P
 from osm_merge_ray.stages.tiling import assign_tiles
 from osm_merge_ray.state import checkpoint as CK
 from osm_merge_ray.synth import AOI, synth_dataset
+from osm_merge_ray.util import hash64_str, splitmix64
 
 
 def default_grid(cfg: ConflationConfig) -> TileGrid:
@@ -32,13 +35,10 @@ def default_grid(cfg: ConflationConfig) -> TileGrid:
 
 
 def flagship(n_per_side: int = 1000, cfg: ConflationConfig | None = None,
-             decode_images: bool = True, skew_salting: bool = True,
-             seed: int = 42):
+             decode_images: bool = True, seed: int = 42):
     """Synthesize both sides distributed, optionally decode+verify the
     image payloads (actor pool), run the conflation join, assign tiles.
     Returns the lazy decision Dataset."""
-    import os
-
     cfg = cfg or ConflationConfig()
     p = synth_dataset(n_per_side, "primary", seed=seed, with_bytes=decode_images)
     s = synth_dataset(n_per_side, "secondary", seed=seed, with_bytes=decode_images)
@@ -47,20 +47,18 @@ def flagship(n_per_side: int = 1000, cfg: ConflationConfig | None = None,
         union = union.map_batches(DecodeVerify, batch_format="pyarrow",
                                   batch_size=256,
                                   concurrency=(1, max(4, os.cpu_count() or 8)))
-    decisions = CF.conflate_union(union, cfg, skew_salting=skew_salting)
+    decisions = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
+                                lambda df: CF.match_bucket(df, cfg))
     return assign_tiles(decisions, default_grid(cfg))
 
 
 def conflate_parquet(primary_path: str, secondary_path: str,
                      cfg: ConflationConfig | None = None,
                      decode_images: bool = True, out_dir: str | None = None,
-                     skew_salting: bool = True,
                      decode_concurrency: tuple[int, int] | None = None):
     """The production-shaped flagship: parquet (Lance-shaped) tables in,
     ONE side-tagged union → one actor-pool decode+verify sized to the
     node → conflate → tile → partitioned parquet out."""
-    import os
-
     import ray.data as rd
 
     cfg = cfg or ConflationConfig()
@@ -103,13 +101,28 @@ def conflate_parquet(primary_path: str, secondary_path: str,
     union = CF.tag_side(read_side(primary_path), 0).union(
         CF.tag_side(read_side(secondary_path), 1)
     )
-    out = assign_tiles(
-        CF.conflate_union(union, cfg, skew_salting=skew_salting),
-        default_grid(cfg),
-    )
+    decisions = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
+                                lambda df: CF.match_bucket(df, cfg))
+    out = assign_tiles(decisions, default_grid(cfg))
     if out_dir is not None:
         out.write_parquet(out_dir)
     return out
+
+
+def _lineage_path(p: str, remote: bool) -> str:
+    """One canonical spelling of an input file path for its lineage id.
+    Ray's ``include_paths`` strings and ``pyarrow.dataset().files`` can
+    differ in scheme prefix, normalization and symlink resolution, and a
+    mismatch would record frag ids that resolve to nothing. The scheme
+    is dropped (pyarrow lists remote files without it); local paths are
+    also resolved with ``realpath``."""
+    _, sep, rest = p.partition("://")
+    p = rest if sep else p
+    return p if remote else os.path.realpath(p)
+
+
+def _frag_ids(paths: list[str]) -> np.ndarray:
+    return splitmix64(hash64_str(paths)).view(np.int64)
 
 
 def read_parquet_with_lineage(path: str):
@@ -120,36 +133,18 @@ def read_parquet_with_lineage(path: str):
     which input fragments it consumed (the north-rule's "input fragment
     ids" lineage): when one input file is replaced, exactly the buckets
     naming its frag id need invalidation, not the whole run."""
-    import os
-
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from osm_merge_ray.util import hash64_str, splitmix64
-
     ds = rd.read_parquet(path, include_paths=True)
-
-    def _norm(p: str) -> str:
-        # one canonical spelling on BOTH sides (r4 advice: Ray's
-        # include_paths strings and pyarrow.dataset().files can differ
-        # in scheme prefix / normalization / symlink resolution, and a
-        # mismatch silently records frag ids that resolve to nothing):
-        # realpath local paths, strip a file:// scheme, leave remote
-        # URIs (s3:// etc.) untouched
-        if p.startswith("file://"):
-            p = p[len("file://"):]
-        return os.path.realpath(p) if "://" not in p else p
-
-    def frag_map_of(paths: list[str]) -> dict[int, str]:
-        ids = splitmix64(hash64_str(paths)).view(np.int64)
-        return {int(i): p for i, p in zip(ids, paths)}
-
-    fmap = frag_map_of(sorted({_norm(f) for f in pads.dataset(path).files}))
+    remote = "://" in path and not path.startswith("file://")
+    files = sorted({_lineage_path(f, remote) for f in pads.dataset(path).files})
+    fmap = {int(i): p for i, p in zip(_frag_ids(files), files)}
     known = frozenset(fmap)  # file-count sized, cheap closure broadcast
 
     def add_frag(t: pa.Table) -> pa.Table:
-        paths = [_norm(p) for p in t.column("path").to_pylist()]
-        ids = splitmix64(hash64_str(paths)).view(np.int64)
+        paths = [_lineage_path(p, remote) for p in t.column("path").to_pylist()]
+        ids = _frag_ids(paths)
         missing = {int(i) for i in ids} - known
         if missing:  # fail LOUDLY instead of writing dangling lineage
             bad = sorted({p for p, i in zip(paths, ids)
@@ -167,61 +162,34 @@ def read_parquet_with_lineage(path: str):
 
 def run_checkpointed(primary_ds, secondary_ds, out_dir: str,
                      cfg: ConflationConfig | None = None,
-                     resume: bool = True, skew_salting: bool = True,
+                     resume: bool = True,
                      fragment_map: dict[int, str] | None = None) -> dict:
-    """Conflate with per-bucket checkpointing: each shuffle bucket's
-    decision rows are written atomically with a manifest record
-    (state/checkpoint.py); on resume, finished buckets are filtered out
-    of the shuffle input *before* the exchange, so their rows are never
-    shipped or rescored.
+    """Conflate with per-bucket checkpointing: the spine's per-bucket sink
+    matches, assigns tiles and writes the bucket's decision rows
+    atomically with a manifest record (state/checkpoint.py); on resume,
+    finished buckets are filtered out of the shuffle input *before* the
+    exchange, so their rows are never shipped or rescored.
 
     Returns summary metrics. ``out_dir`` must be shared storage on a
     multi-node cluster.
     """
+    import json
+
+    from osm_merge_ray.stages.tiling import make_assign_tiles
+
     cfg = cfg or ConflationConfig()
-    grid = default_grid(cfg)
     done = CK.finished_buckets(out_dir) if resume else set()
     if fragment_map is not None:
         # run-level frag-id → input-file map (resolves the per-bucket
         # input_fragments lineage recorded below)
-        import json as _json
-        import os as _os
-
-        _os.makedirs(CK.manifest_dir(out_dir), exist_ok=True)
-        fp = _os.path.join(CK.manifest_dir(out_dir), "fragments.json")
+        os.makedirs(CK.manifest_dir(out_dir), exist_ok=True)
+        fp = os.path.join(CK.manifest_dir(out_dir), "fragments.json")
         tmp = fp + ".tmp"
         with open(tmp, "w") as fh:
-            _json.dump({str(k): v for k, v in fragment_map.items()}, fh)
-        _os.replace(tmp, fp)
+            json.dump({str(k): v for k, v in fragment_map.items()}, fh)
+        os.replace(tmp, fp)
 
-    prep = lambda t: CF.prepare(t, cfg)  # noqa: E731
-    union = CF.tag_side(primary_ds, 0).union(CF.tag_side(secondary_ds, 1))
-    light = union.map_batches(prep, batch_format="pyarrow", batch_size=cfg.batch_size)
-    if skew_salting:
-        light = light.materialize()  # one upstream pass feeds count + shuffle
-    # refuse resume under a changed config or (when cheaply known) input
-    CK.check_run_manifest(out_dir, cfg,
-                          input_rows=light.count() if skew_salting else None)
-    salts = CF.plan_salts(light, cfg) if skew_salting else {}
-    p_tag = light.map_batches(CF.make_tag_primary(cfg, salts), batch_format="pyarrow",
-                              batch_size=cfg.batch_size)
-    s_rep = light.map_batches(CF.make_replicate_secondary(cfg, salts),
-                              batch_format="pyarrow", batch_size=cfg.batch_size)
-    both = p_tag.union(s_rep)
-
-    if done:
-        done_arr = np.array(sorted(done), dtype=np.int64)
-
-        def drop_done(t: pa.Table) -> pa.Table:
-            b = t.column("bucket").to_numpy()
-            keep = ~np.isin(b, done_arr)
-            return t.filter(pa.array(keep))
-
-        both = both.map_batches(drop_done, batch_format="pyarrow")
-
-    from osm_merge_ray.stages.tiling import make_assign_tiles
-
-    assign = make_assign_tiles(grid)
+    assign = make_assign_tiles(default_grid(cfg))
 
     def match_and_write(df: pd.DataFrame) -> pd.DataFrame:
         t0 = time.time()
@@ -236,7 +204,14 @@ def run_checkpointed(primary_ds, secondary_ds, out_dir: str,
         )
         return pd.DataFrame({"bucket": [bucket], "rows": [table.num_rows]})
 
-    metrics = both.groupby("bucket").map_groups(match_and_write, batch_format="pandas")
+    def check_manifest(light) -> None:
+        # refuse resume under a changed config, partition scheme or input
+        CK.check_run_manifest(out_dir, cfg, input_rows=light.count())
+
+    union = CF.tag_side(primary_ds, 0).union(CF.tag_side(secondary_ds, 1))
+    metrics, _ = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
+                                 match_and_write, light_probe=check_manifest,
+                                 skip_buckets=done)
     rows = metrics.to_pandas()
     return {
         "buckets_done_now": len(rows),

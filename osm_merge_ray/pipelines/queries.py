@@ -3642,8 +3642,7 @@ def conflate_images_q(sf_dir: str):
 
     cfg = ConflationConfig(num_buckets=16)
     out = conflate_datasets(rd.from_arrow(_image_fixture("primary")),
-                            rd.from_arrow(_image_fixture("secondary")),
-                            cfg, skew_salting=False)
+                            rd.from_arrow(_image_fixture("secondary")), cfg)
     return out.select_columns(["image_id", "matched_id", "decision", "hits", "dist_mm"])
 
 

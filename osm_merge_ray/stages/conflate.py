@@ -3,27 +3,26 @@
 Reference semantics: ``conflateThread`` (``conflator.py:86-330``) — an
 O(N*M) nested loop of every primary feature against every secondary
 feature with distance + fuzzy-tag scoring and a quirky decision table.
-Engine realization — ONE hash shuffle, everything else map-side:
+Engine realization — the one conflation spine of
+``stages/partition.py`` (``shuffle_match``), with image rows as
+zero-extent boxes; this module holds only what is point-specific:
 
 1. ``prepare``      map_batches: centroid (derive from image_id hash if
                     absent), grid cell (H3-analog, ``geo/cells.py``),
                     project to *light* columns — image bytes never
                     enter the shuffle (SURVEY §7 hard part (d)).
-2. ``plan_salts``   distributed count per cell, driver receives ONLY
-                    cells over the hot threshold → salt fan-out map
-                    (explicit skew handling; BASELINE.json names it).
-3. ``replicate``    secondary rows fan out to their k-ring(1) cells
-                    (and to every salt of a hot cell); primaries stay
-                    in their home cell with one salt. Cell-edge matches
-                    are therefore never missed
-                    (docs/calculations.md:120-127).
-4. ``groupby(bucket).map_groups(match_bucket)`` — the single all-to-all
-                    exchange, keyed by hash(cell, salt) folded into
-                    ``num_buckets`` groups; the matcher re-groups by
-                    exact (cell, salt) with a sort + searchsorted and
-                    scores candidates fully vectorized (numpy distance
-                    cross-products, batched DP caption ratios, SWAR
-                    phash hamming).
+2. the spine        hot-cell plan, primary tag, secondary border-band
+                    replication (a point ships to a neighbor cell only
+                    when it lies within ``distance_m`` of it, so
+                    cell-edge matches are never missed,
+                    docs/calculations.md:120-127), ONE bucket shuffle.
+3. ``match_bucket`` the per-bucket sink: re-groups by exact (cell, salt)
+                    and scores candidates fully vectorized (numpy
+                    distance cross-products, batched DP caption ratios,
+                    SWAR phash hamming).
+
+``plan_salts``, ``make_tag_primary`` and ``make_replicate_secondary``
+are importable from here; they are the partition module's functions.
 
 Decision table (engine-canonical, deterministic re-statement of
 ``conflator.py:188-325``):
@@ -56,16 +55,20 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from osm_merge_ray.config import ConflationConfig
 from osm_merge_ray.geo import cells as C
 from osm_merge_ray.geo.distance import haversine_m
 from osm_merge_ray.image.phash import hamming64
+from osm_merge_ray.stages.partition import (  # noqa: F401 - the spine's API, re-exported
+    group_key,
+    make_replicate_secondary,
+    make_tag_primary,
+    plan_salts,
+    shuffle_match,
+)
 from osm_merge_ray.text.fuzz import batch_indel_ratio
-from osm_merge_ray.util import hash64_str, splitmix64, uniform01
-
-LIGHT_COLS = ["image_id", "caption", "phash", "lon", "lat", "cell"]
+from osm_merge_ray.util import hash64_str, uniform01
 
 _REF_PAT = re.compile(r"^\s*(?:FR|FS|F[SR]R?)\s+(\S+)", re.IGNORECASE)
 
@@ -109,222 +112,6 @@ def prepare(batch: pa.Table, cfg: ConflationConfig) -> pa.Table:
     return pa.table(cols)
 
 
-def fine_res_for(cfg: ConflationConfig) -> int:
-    """Finest valid resolution for the configured match distance."""
-    return C.res_for_distance(cfg.distance_m)
-
-
-def plan_salts(light_ds, cfg: ConflationConfig) -> dict[int, int]:
-    """Distributed per-cell row count → {hot_cell_id: n_salts}.
-
-    Skew strategy (two layers):
-    1. **adaptive resolution** — rows whose base cell is hot are
-       re-keyed at ``fine_res_for(cfg)`` (edge still >= distance_m, so
-       k-ring completeness holds). This REDUCES candidate-pair count
-       (the per-cell P*S blowup of a dense cluster), which salting
-       alone cannot — salting only redistributes it.
-    2. **salting** — the returned n_salts fan-out still applies on top,
-       bounding the worst case of truly co-located rows that land in
-       one fine cell.
-
-    Pre-aggregates inside ``map_batches`` (one partial row per distinct
-    cell per batch) before the small ``groupby`` — the driver only ever
-    receives cells whose total exceeds ``hot_cell_rows``.
-    """
-    def partial_counts(t: pa.Table) -> pa.Table:
-        cell = t.column("cell").to_numpy()
-        u, c = np.unique(cell, return_counts=True)
-        return pa.table({"cell": pa.array(u, pa.int64()), "n": pa.array(c, pa.int64())})
-
-    # hash-bucketed combine, NOT the native sort-based groupby: at the
-    # default res-15 grid the union has ~10^5+ distinct cells and Ray's
-    # sort aggregate pays its per-distinct-group cliff (measured 3.0 s
-    # of a 10.7 s flagship run at 100k/side; grouped_reduce: ~0.5 s).
-    # Only cells already over the threshold ever reach the driver.
-    import pandas as pd
-
-    def hot_only(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("cell", as_index=False)["n"].sum()
-        g = g[g["n"] > cfg.hot_cell_rows]
-        return g.rename(columns={"n": "total"})
-
-    from osm_merge_ray.ops import grouped_reduce
-
-    hot = grouped_reduce(
-        light_ds.map_batches(partial_counts, batch_format="pyarrow"),
-        ["cell"], hot_only, num_buckets=cfg.num_buckets).take_all()
-    # n_salts sized for the expected occupancy of one FINE cell: the
-    # refinement spreads the count over ~4^(fine-base) children, so a
-    # small salt count suffices as the co-location backstop
-    return {int(r["cell"]): int(min(8, max(1, -(-r["total"] // (cfg.hot_cell_rows * 4)))))
-            for r in hot}
-
-
-def _refine_hot(cell: np.ndarray, lon: np.ndarray, lat: np.ndarray,
-                hot: np.ndarray, fine_res: int) -> tuple[np.ndarray, np.ndarray]:
-    """Re-key rows whose base cell is hot at the fine resolution.
-    Returns (new_cell, mask_of_refined_rows)."""
-    if len(hot) == 0:
-        return cell, np.zeros(len(cell), dtype=bool)
-    m = np.isin(cell, hot)
-    if m.any():
-        cell = cell.copy()
-        cell[m] = C.lonlat_to_cell(lon[m], lat[m], fine_res)
-    return cell, m
-
-
-def border_band_targets(lon: np.ndarray, lat: np.ndarray, res: int,
-                        distance_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Border-band replication targets: each row goes to its own cell,
-    plus a neighbor cell ONLY when the row lies within ``distance_m``
-    of that cell edge. A row deeper than ``distance_m`` inside its cell
-    cannot match anything outside it, so blanket 9x k-ring replication
-    is wasted shuffle volume — the band cuts the replication factor
-    from 9x to ~1 + 4*(d/edge) (~2% extra at res 15 / 7 m).
-
-    Returns (row_idx, target_cell) arrays.
-    """
-    if len(lon) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    s = C.cell_edge_deg(res)
-    fx = (lon + 180.0) / s
-    fy = (lat + 90.0) / s
-    ix = np.floor(fx).astype(np.int64)
-    iy = np.floor(fy).astype(np.int64)
-    fx -= ix
-    fy -= iy
-    # band width in cell units. Longitude cells SHRINK in meters by
-    # cos(lat), so the lon band can exceed one cell at high latitude —
-    # the range below replicates to exactly the cells the row's
-    # distance interval overlaps (capped at +-8 cells; ~|lat|<=85).
-    # Use the SAME meters-per-degree constant as the haversine match gate
-    # (M_PER_DEG_LAT from EARTH_R): a larger m/deg here would shrink the
-    # band ~0.11% and could miss a threshold-grazing pair across a cell
-    # boundary, breaking the replication completeness guarantee.
-    with np.errstate(invalid="ignore"):
-        bx = distance_m / (C.M_PER_DEG_LAT * np.maximum(np.abs(np.cos(np.radians(lat))), 1e-3)) / s
-    by = distance_m / C.M_PER_DEG_LAT / s
-    cap = 8
-    dx_min = np.clip(np.floor(fx - bx), -cap, 0).astype(np.int64)
-    dx_max = np.clip(np.floor(fx + bx), 0, cap).astype(np.int64)
-    dy_min = np.clip(np.floor(fy - by), -cap, 0).astype(np.int64)
-    dy_max = np.clip(np.floor(fy + by), 0, cap).astype(np.int64)
-    nx_cnt = dx_max - dx_min + 1
-    ny_cnt = dy_max - dy_min + 1
-    cnt = nx_cnt * ny_cnt
-    total = int(cnt.sum())
-    rows = np.repeat(np.arange(len(lon), dtype=np.int64), cnt)
-    offs = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    w = np.arange(total, dtype=np.int64) - np.repeat(offs, cnt)
-    dx = np.repeat(dx_min, cnt) + w // np.repeat(ny_cnt, cnt)
-    dy = np.repeat(dy_min, cnt) + w % np.repeat(ny_cnt, cnt)
-    nx = np.int64(1 << res)
-    ny = np.int64(1 << max(res - 1, 0))
-    jx = np.mod(ix[rows] + dx, nx)
-    jy = np.clip(iy[rows] + dy, 0, ny - 1)
-    return rows, C.xy_to_cell(jx, jy, res)
-
-
-def make_replicate_secondary(cfg: ConflationConfig, salts: dict[int, int]):
-    """Secondary rows replicate to border-band neighbor cells; targets
-    falling in a HOT base cell are re-emitted at the fine resolution
-    (border-band at ``fine_res``) × every salt of that hot cell.
-    Accepts the side-tagged union (filters side==1 itself)."""
-    hot = np.array(sorted(salts), dtype=np.int64)
-    fine = fine_res_for(cfg)
-
-    def rep(t: pa.Table) -> pa.Table:
-        if "side" in t.column_names:
-            t = t.filter(pc.equal(t.column("side"), 1)).drop_columns(["side"])
-        lon_all = t.column("lon").to_numpy()
-        lat_all = t.column("lat").to_numpy()
-        idx, tgt = border_band_targets(lon_all, lat_all, cfg.cell_res, cfg.distance_m)
-
-        if len(hot):
-            is_hot_t = np.isin(tgt, hot)
-        else:
-            is_hot_t = np.zeros(len(tgt), dtype=bool)
-
-        # base-resolution replicas for non-hot targets
-        keep = ~is_hot_t
-        base_idx = idx[keep]
-        base_tgt = tgt[keep]
-        base_salt = np.zeros(len(base_idx), dtype=np.int64)
-
-        fine_idx = np.empty(0, dtype=np.int64)
-        fine_tgt = np.empty(0, dtype=np.int64)
-        fine_salt = np.empty(0, dtype=np.int64)
-        if is_hot_t.any():
-            rows_hot = np.unique(idx[is_hot_t])
-            f_rel, f_tgt = border_band_targets(
-                lon_all[rows_hot], lat_all[rows_hot], fine, cfg.distance_m
-            )
-            f_idx = rows_hot[f_rel]
-            # salts of the hot PARENT base cell of each fine target
-            parents = C.parent(f_tgt, cfg.cell_res)
-            nsalt = np.ones(len(f_tgt), dtype=np.int64)
-            for c, k in salts.items():
-                nsalt[parents == c] = k
-            fine_idx = np.repeat(f_idx, nsalt)
-            fine_tgt = np.repeat(f_tgt, nsalt)
-            offs = np.concatenate(([0], np.cumsum(nsalt)[:-1]))
-            fine_salt = np.arange(int(nsalt.sum()), dtype=np.int64) - np.repeat(offs, nsalt)
-
-        all_idx = np.concatenate([base_idx, fine_idx])
-        all_tgt = np.concatenate([base_tgt, fine_tgt])
-        all_salt = np.concatenate([base_salt, fine_salt])
-        out = t.take(all_idx)
-        out = out.set_column(out.schema.get_field_index("cell"), "cell",
-                             pa.array(all_tgt, pa.int64()))
-        out = out.append_column("salt", pa.array(all_salt, pa.int64()))
-        out = out.append_column(
-            "side", pa.array(np.ones(len(out), dtype=np.int8), pa.int8())
-        )
-        return _with_bucket(out, cfg)
-
-    return rep
-
-
-def make_tag_primary(cfg: ConflationConfig, salts: dict[int, int]):
-    """Primaries keep one row each: hot-base-cell rows are re-keyed at
-    the fine resolution and salted by id hash."""
-    hot = np.array(sorted(salts), dtype=np.int64)
-    fine = fine_res_for(cfg)
-
-    def tag(t: pa.Table) -> pa.Table:
-        if "side" in t.column_names:
-            t = t.filter(pc.equal(t.column("side"), 0)).drop_columns(["side"])
-        cell = t.column("cell").to_numpy()
-        lon = t.column("lon").to_numpy()
-        lat = t.column("lat").to_numpy()
-        ids = t.column("image_id").to_numpy(zero_copy_only=False)
-        new_cell, refined = _refine_hot(cell, lon, lat, hot, fine)
-        salt = np.zeros(len(cell), dtype=np.int64)
-        if refined.any():
-            h = splitmix64(hash64_str(ids[refined]))
-            nsalt = np.ones(int(refined.sum()), dtype=np.uint64)
-            base_of_refined = cell[refined]
-            for c, k in salts.items():
-                nsalt[base_of_refined == c] = k
-            salt[refined] = (h % nsalt).astype(np.int64)
-        out = t.set_column(t.schema.get_field_index("cell"), "cell",
-                           pa.array(new_cell, pa.int64()))
-        out = out.append_column("salt", pa.array(salt, pa.int64()))
-        out = out.append_column(
-            "side", pa.array(np.zeros(len(out), dtype=np.int8), pa.int8())
-        )
-        return _with_bucket(out, cfg)
-
-    return tag
-
-
-def _with_bucket(t: pa.Table, cfg: ConflationConfig) -> pa.Table:
-    cell = t.column("cell").to_numpy()
-    salt = t.column("salt").to_numpy()
-    b = C.bucket_of(cell, cfg.num_buckets, salt=salt.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-    return t.append_column("bucket", pa.array(b, pa.int64()))
-
-
 def _ref_token(captions: np.ndarray) -> np.ndarray:
     """Second-token of FR/FS-style refs, uppercased; '' when not a ref.
     Mirrors the conflator.py:605-615 whitespace-split[1] comparison."""
@@ -358,21 +145,10 @@ def match_bucket(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
     s_cell = sec["cell"].to_numpy()
     s_salt = sec["salt"].to_numpy()
 
-    # group both sides by (cell, salt) via a 64-bit mixed key — no exact
-    # bit-packing needed (cell already uses the high bits); a mix
-    # collision merely merges two unrelated cells into one candidate
-    # group, harmless for correctness since the distance gate still
-    # applies and every true candidate is co-replicated by the k-ring.
-    def keyed(cell, salt):
-        return splitmix64(
-            cell.astype(np.int64).view(np.uint64)
-            + splitmix64(salt.astype(np.uint64))
-        ).view(np.int64)
-
     from osm_merge_ray.ops import rank_within_groups, same_key_pairs
 
-    # fully vectorized same-cell pair enumeration (no per-cell Python)
-    pi, si = same_key_pairs(keyed(p_cell, p_salt), keyed(s_cell, s_salt))
+    # fully vectorized same-(cell, salt) pair enumeration (no per-cell Python)
+    pi, si = same_key_pairs(group_key(p_cell, p_salt), group_key(s_cell, s_salt))
     if len(pi):
         dist = haversine_m(p_lon[pi], p_lat[pi], s_lon[si], s_lat[si])
         gate = dist <= cfg.distance_m
@@ -493,41 +269,19 @@ def tag_side(ds, side: int):
     return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def conflate_union(union_ds, cfg: ConflationConfig | None = None,
-                   skew_salting: bool = True):
-    """Core conflation over ONE side-tagged union Dataset — a single
-    upstream pass feeds salt planning, primary tagging and secondary
-    replication (the light projection is materialized once when salting
-    is on; light rows are ~100 B, the same order as the shuffle)."""
-    cfg = cfg or ConflationConfig()
-    prep = lambda t: prepare(t, cfg)  # noqa: E731
-    light = union_ds.map_batches(prep, batch_format="pyarrow", batch_size=cfg.batch_size)
-
-    salts: dict[int, int] = {}
-    if skew_salting:
-        light = light.materialize()
-        salts = plan_salts(light, cfg)
-
-    p_tag = light.map_batches(
-        make_tag_primary(cfg, salts), batch_format="pyarrow", batch_size=cfg.batch_size
-    )
-    s_rep = light.map_batches(
-        make_replicate_secondary(cfg, salts), batch_format="pyarrow", batch_size=cfg.batch_size
-    )
-    both = p_tag.union(s_rep)
-    return both.groupby("bucket").map_groups(
-        lambda df: match_bucket(df, cfg), batch_format="pandas"
-    )
+def light_rows(union_ds, cfg: ConflationConfig):
+    """The prepare stage over a side-tagged union: light rows for the spine."""
+    return union_ds.map_batches(lambda t: prepare(t, cfg), batch_format="pyarrow",
+                                batch_size=cfg.batch_size)
 
 
-def conflate_datasets(primary_ds, secondary_ds, cfg: ConflationConfig | None = None,
-                      skew_salting: bool = True):
+def conflate_datasets(primary_ds, secondary_ds, cfg: ConflationConfig | None = None):
     """End-to-end conflation join over two Ray Datasets of image rows.
 
     Returns a Dataset of per-primary decision rows (streaming; the one
     all-to-all exchange is the bucket groupby).
     """
-    return conflate_union(
-        tag_side(primary_ds, 0).union(tag_side(secondary_ds, 1)),
-        cfg, skew_salting=skew_salting,
-    )
+    cfg = cfg or ConflationConfig()
+    union = tag_side(primary_ds, 0).union(tag_side(secondary_ds, 1))
+    return shuffle_match(light_rows(union, cfg), cfg, cfg.distance_m,
+                         lambda df: match_bucket(df, cfg))

@@ -167,14 +167,12 @@ def _line_prepare(t: pa.Table, cfg: ConflationConfig, side: int) -> pa.Table:
     })
 
 
-def conflate_lines(primary_ds, secondary_ds, cfg: ConflationConfig | None = None,
-                   skew_salting: bool = True):
-    """Cell-sharded line conflation on the shared partition machinery
+def conflate_lines(primary_ds, secondary_ds, cfg: ConflationConfig | None = None):
+    """Cell-sharded line conflation on the conflation spine
     (stages/partition.py): secondaries ship only to the cells their
     bbox expanded by (distance_m + max primary reach) overlaps (~1x
     replication, vs blanket 9x k-ring), hot cells are refined to a
-    finer resolution with a salt fan-out — same skew handling as the
-    flagship path."""
+    finer resolution with a salt fan-out."""
     cfg = cfg or ConflationConfig(cell_res=12)
 
     p = primary_ds.map_batches(lambda t: _line_prepare(t, cfg, 0),
@@ -187,8 +185,7 @@ def conflate_lines(primary_ds, secondary_ds, cfg: ConflationConfig | None = None
 
     # probe runs over shuffle_match's own materialized union: both
     # sides streamed exactly once, no extra barrier (r3 perf fix)
-    out, has_parts = P.shuffle_match(p, s, cfg, cfg.distance_m, match,
-                                     skew_salting=skew_salting,
+    out, has_parts = P.shuffle_match(p.union(s), cfg, cfg.distance_m, match,
                                      light_probe=P.has_split_parts)
     if has_parts:
         # a split primary produced one decision row per part (parts land

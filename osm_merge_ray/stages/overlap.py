@@ -166,7 +166,7 @@ def polygon_overlap_pairs(primary_ds, secondary_ds, cfg: ConflationConfig | None
     # group (the piece centroid keys the primary side), so partials for
     # one (id_a, id_b) are distinct piece pairs — summing them gives the
     # exact whole-polygon intersection area (pieces partition the rings)
-    out, has_parts = P.shuffle_match(p, s, cfg, 0.0, match,
+    out, has_parts = P.shuffle_match(p.union(s), cfg, 0.0, match,
                                      light_probe=P.has_split_parts)
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:

@@ -1,12 +1,39 @@
-"""Shared scale partitioning for extended-geometry conflation joins.
+"""The one conflation spine: tag → replicate → bucket shuffle → sink.
 
-Generalizes the flagship's point border-band + adaptive hot-cell
-machinery (stages/conflate.py:164-273) to features with EXTENT (lines,
-polygons): instead of replicating every secondary row to its full 9x
-k-ring, a row is shipped only to the cells its bbox — expanded by the
-match band — actually overlaps (~1x for features small vs the cell
-edge), and hot cells are re-keyed at a finer resolution with a salt
-fan-out backstop, exactly like the flagship path.
+Every conflation join in the engine (point image rows in
+``stages/conflate.py``, lines, POIs, polygon overlap) runs through
+``shuffle_match``:
+
+1. the caller's light rows (one side-tagged union, ~100 B/row) are
+   materialized once;
+2. ``plan_salts`` counts rows per base cell (distributed, pre-aggregated)
+   and returns only the hot cells with their salt fan-out;
+3. ``make_tag_primary`` keeps each primary in ONE (cell, salt) group: its
+   centroid cell, re-keyed at ``fine_res_of`` and salted by id hash when
+   that base cell is hot;
+4. ``make_replicate_secondary`` ships each secondary to every cell its
+   bbox, expanded by the match band, overlaps (~1x for features small vs
+   the cell edge, instead of a blanket 9x k-ring); a target in a hot base
+   cell becomes the fine-resolution cover inside that hot parent x every
+   salt of it;
+5. ONE ``groupby(bucket)`` exchange; the sink sees one bucket's rows and
+   joins the sides on ``group_key(cell, salt)``.
+
+Point rows are the zero-extent case: without bbox columns the box is the
+centroid (x0 = x1 = lon, y0 = y1 = lat), the primary reach is 0 and the
+band is the match distance, so points gain no columns and no extra pass.
+
+The rules shared by all geometry types:
+
+* fine resolution: ``fine_res_of`` (the match-distance resolution, at most
+  3 levels below ``cell_res``);
+* salt: splitmix64 of the row id; string ids go through ``hash64_str``
+  first;
+* fine secondary targets are kept only inside hot parents (a non-hot
+  parent is already covered at the base resolution).
+
+``PARTITION_SCHEME`` versions these rules: bucket checkpoints written
+under another scheme hold other rows and must not be resumed.
 
 Completeness argument (why one decision row per primary still works):
 a primary is keyed by its CENTROID cell only. If dist(P, S) <= d, then
@@ -16,20 +43,27 @@ corner distance, so replicating S to every cell its bbox expanded by
 co-locates in the primary's one (cell, salt) group — each pair is
 scored at most once globally, no cross-bucket combine needed.
 
-Light-row contract: input Datasets carry at least
-``feature_id:int64, lon, lat (centroid), x0, y0, x1, y1 (bbox, deg),
-cell:int64 (centroid cell at cfg.cell_res), side:int8``.
+Light-row contract: ``lon, lat`` (centroid), ``cell:int64`` (centroid
+cell at ``cfg.cell_res``), ``side:int8`` (0 primary, 1 secondary), one id
+column (``feature_id:int64`` or ``image_id:string``) and, for extended
+geometry, ``x0, y0, x1, y1`` (bbox, degrees).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from osm_merge_ray.config import ConflationConfig
 from osm_merge_ray.geo import cells as C
-from osm_merge_ray.util import splitmix64
+from osm_merge_ray.util import hash64_str, splitmix64
+
+#: version of the tag/replicate/salt rules; bump it whenever a change moves
+#: rows to other buckets (state/checkpoint.py hashes it into the run
+#: manifest, so a resume across a change refuses instead of mixing)
+PARTITION_SCHEME = 2
 
 #: max covered cells per axis per row — a feature spanning more cells
 #: than this at the chosen res is trimmed (pick a coarser cell_res for
@@ -72,7 +106,8 @@ def bbox_band_targets(x0, y0, x1, y1, res: int, band_m: float,
                       cap: int = AXIS_CAP, return_trimmed: bool = False):
     """(row_idx, target_cell) for every grid cell at ``res`` overlapped
     by each bbox expanded by ``band_m`` meters (lat-aware on lon).
-    Point rows (x0==x1, y0==y1) reduce to the flagship's border-band.
+    Point rows (x0==x1, y0==y1) get the border band: their own cell,
+    plus a neighbor only when the point lies within ``band_m`` of it.
     With ``return_trimmed`` also returns a per-INPUT-row bool mask of
     rows whose cover exceeded ``cap`` cells per axis and was clamped —
     callers that promise completeness must route those rows through an
@@ -142,6 +177,45 @@ def max_primary_reach_m(light_ds) -> float:
     return float(out or 0.0)
 
 
+def plan_salts(light_ds, cfg: ConflationConfig) -> dict[int, int]:
+    """Distributed per-cell row count → {hot_cell_id: n_salts}.
+
+    Rows whose base cell is hot are re-keyed at ``fine_res_of(cfg)``
+    (edge still >= distance_m, so band completeness holds), which REDUCES
+    the per-cell P*S pair blowup of a dense cluster; the salt fan-out
+    returned here bounds the worst case of truly co-located rows that
+    still land in one fine cell.
+
+    Pre-aggregates inside ``map_batches`` (one partial row per distinct
+    cell per batch) before the small reduce — the driver only ever
+    receives cells whose total exceeds ``hot_cell_rows``.
+    """
+    from osm_merge_ray.ops import grouped_reduce
+
+    def partial_counts(t: pa.Table) -> pa.Table:
+        cell = t.column("cell").to_numpy()
+        u, c = np.unique(cell, return_counts=True)
+        return pa.table({"cell": pa.array(u, pa.int64()), "n": pa.array(c, pa.int64())})
+
+    def hot_only(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("cell", as_index=False)["n"].sum()
+        g = g[g["n"] > cfg.hot_cell_rows]
+        return g.rename(columns={"n": "total"})
+
+    # hash-bucketed combine, NOT the native sort-based groupby: at the
+    # default res-15 grid the union has ~10^5+ distinct cells and Ray's
+    # sort aggregate pays its per-distinct-group cliff (measured 3.0 s
+    # of a 10.7 s flagship run at 100k/side; grouped_reduce: ~0.5 s).
+    hot = grouped_reduce(
+        light_ds.map_batches(partial_counts, batch_format="pyarrow"),
+        ["cell"], hot_only, num_buckets=cfg.num_buckets).take_all()
+    # n_salts sized for the expected occupancy of one FINE cell: the
+    # refinement spreads the count over ~4^(fine-base) children, so a
+    # small salt count suffices as the co-location backstop
+    return {int(r["cell"]): int(min(8, max(1, -(-r["total"] // (cfg.hot_cell_rows * 4)))))
+            for r in hot}
+
+
 def _with_bucket(t: pa.Table, cfg: ConflationConfig) -> pa.Table:
     cell = t.column("cell").to_numpy()
     salt = t.column("salt").to_numpy()
@@ -150,9 +224,27 @@ def _with_bucket(t: pa.Table, cfg: ConflationConfig) -> pa.Table:
     return t.append_column("bucket", pa.array(b, pa.int64()))
 
 
+def _salt_hash(t: pa.Table, rows: np.ndarray) -> np.ndarray:
+    """splitmix64 of the id of each masked row; string ids are
+    FNV-hashed first."""
+    col = t.column("feature_id" if "feature_id" in t.column_names else "image_id")
+    if pa.types.is_integer(col.type):
+        return splitmix64(col.to_numpy().astype(np.int64)[rows].view(np.uint64))
+    return splitmix64(hash64_str(col.to_numpy(zero_copy_only=False)[rows]))
+
+
+def _box(t: pa.Table) -> tuple[np.ndarray, ...]:
+    """(x0, y0, x1, y1) per row: the bbox columns, or the centroid as a
+    zero-extent box for point rows."""
+    if "x0" in t.column_names:
+        return tuple(t.column(k).to_numpy() for k in ("x0", "y0", "x1", "y1"))
+    lon, lat = t.column("lon").to_numpy(), t.column("lat").to_numpy()
+    return lon, lat, lon, lat
+
+
 def make_tag_primary(cfg: ConflationConfig, salts: dict[int, int]):
     """Primaries keep ONE row: hot-base-cell rows re-keyed at the fine
-    resolution of their centroid, salted by feature_id hash."""
+    resolution of their centroid, salted by id hash."""
     hot = np.array(sorted(salts), dtype=np.int64)
     fine = fine_res_of(cfg)
 
@@ -167,8 +259,7 @@ def make_tag_primary(cfg: ConflationConfig, salts: dict[int, int]):
                 lat = t.column("lat").to_numpy()
                 base = cell[m]
                 cell[m] = C.lonlat_to_cell(lon[m], lat[m], fine)
-                ids = t.column("feature_id").to_numpy()[m]
-                h = splitmix64(ids.view(np.uint64))
+                h = _salt_hash(t, m)
                 nsalt = np.ones(int(m.sum()), dtype=np.uint64)
                 for c, k in salts.items():
                     nsalt[base == c] = k
@@ -182,20 +273,20 @@ def make_tag_primary(cfg: ConflationConfig, salts: dict[int, int]):
 
 
 def make_replicate_secondary(cfg: ConflationConfig, salts: dict[int, int],
-                             band_m: float):
+                             band_m: float | None = None):
     """Secondaries ship to every base cell their banded bbox overlaps;
     targets landing in a HOT base cell are re-emitted as the fine-res
     banded cover (restricted to hot parents) x every salt of that
-    parent. Replication factor ~1 + O(band/edge) instead of 9x."""
+    parent. Replication factor ~1 + O(band/edge) instead of 9x.
+    ``band_m`` defaults to ``cfg.distance_m``, the band of zero-extent
+    (point) primaries."""
     hot = np.array(sorted(salts), dtype=np.int64)
     fine = fine_res_of(cfg)
+    band_m = cfg.distance_m if band_m is None else band_m
 
     def rep(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t.column("side"), 1))
-        x0 = t.column("x0").to_numpy()
-        y0 = t.column("y0").to_numpy()
-        x1 = t.column("x1").to_numpy()
-        y1 = t.column("y1").to_numpy()
+        x0, y0, x1, y1 = _box(t)
         idx, tgt, trimmed = bbox_band_targets(x0, y0, x1, y1, cfg.cell_res,
                                               band_m, return_trimmed=True)
         if trimmed.any():
@@ -255,8 +346,9 @@ def make_replicate_secondary(cfg: ConflationConfig, salts: dict[int, int],
 
 
 def group_key(cell: np.ndarray, salt: np.ndarray) -> np.ndarray:
-    """64-bit mixed (cell, salt) join key for in-bucket pair generation
-    (same construction as the flagship matcher)."""
+    """64-bit mixed (cell, salt) join key for in-bucket pair generation.
+    A mix collision merely merges two unrelated groups: harmless, since
+    the sink's distance gate still applies."""
     return splitmix64(
         cell.astype(np.int64).view(np.uint64) + splitmix64(salt.astype(np.uint64))
     ).view(np.int64)
@@ -338,16 +430,19 @@ def local_refined_pairs(kp: np.ndarray, ks: np.ndarray,
     return pi, si
 
 
-def shuffle_match(p_light, s_light, cfg: ConflationConfig, band_extra_m: float,
-                  match_fn, skew_salting: bool = True, light_probe=None):
-    """Assemble the one-shuffle pattern: union light sides → (max-reach
-    + hot-cell plan over the materialized LIGHT projection, ~100 B/row)
-    → tag/replicate → bucket groupby → ``match_fn`` per bucket.
+def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
+                  match_fn, light_probe=None, skip_buckets=()):
+    """The one-shuffle spine over a side-tagged union of LIGHT rows
+    (~100 B/row): materialize → (primary max reach when rows carry a
+    bbox) + hot-cell plan → tag/replicate → bucket groupby → ``match_fn``
+    per bucket.
 
-    ``match_fn(df)`` sees light rows of one bucket with ``cell`` and
-    ``salt`` columns and must join sides on (cell, salt) — use
-    ``group_key``. ``band_extra_m`` is the match distance (0 for
-    pure-overlap joins); the primary max reach is added automatically.
+    ``match_fn(df)`` is the per-bucket sink: it sees the light rows of
+    one bucket with ``cell``, ``salt`` and ``bucket`` columns, must join
+    sides on (cell, salt) — use ``group_key`` — and returns a frame (the
+    decision rows, or a per-bucket record when the sink writes its own
+    output). ``band_extra_m`` is the match distance (0 for pure-overlap
+    joins); the primary max reach is added automatically.
 
     ``light_probe(light_ds)``, when given, runs over the ALREADY
     materialized union (zero extra passes over lazy inputs, no pipeline
@@ -356,19 +451,28 @@ def shuffle_match(p_light, s_light, cfg: ConflationConfig, band_extra_m: float,
     global predicate of the prepared rows (e.g. "any antimeridian split
     part present?") hook it here instead of materializing their input a
     second time.
-    """
-    from osm_merge_ray.stages.conflate import plan_salts
 
-    light = p_light.union(s_light).materialize()
+    Rows of ``skip_buckets`` (finished checkpoint buckets) are dropped
+    before the exchange, so they are never shipped or rescored.
+    """
+    light = light.materialize()
     probe = light_probe(light) if light_probe is not None else None
-    band = band_extra_m + max_primary_reach_m(light)
-    salts = plan_salts(light, cfg) if skew_salting else {}
-    p = light.map_batches(make_tag_primary(cfg, salts), batch_format="pyarrow")
+    band = band_extra_m
+    schema = light.schema()
+    if schema is not None and "x0" in schema.names:
+        band += max_primary_reach_m(light)
+    salts = plan_salts(light, cfg)
+    p = light.map_batches(make_tag_primary(cfg, salts), batch_format="pyarrow",
+                          batch_size=cfg.batch_size)
     s = light.map_batches(make_replicate_secondary(cfg, salts, band),
-                          batch_format="pyarrow")
-    out = (
-        p.union(s)
-        .groupby("bucket")
-        .map_groups(match_fn, batch_format="pandas")
-    )
+                          batch_format="pyarrow", batch_size=cfg.batch_size)
+    both = p.union(s)
+    if skip_buckets:
+        done = np.array(sorted(skip_buckets), dtype=np.int64)
+
+        def drop_done(t: pa.Table) -> pa.Table:
+            return t.filter(pa.array(~np.isin(t.column("bucket").to_numpy(), done)))
+
+        both = both.map_batches(drop_done, batch_format="pyarrow")
+    out = both.groupby("bucket").map_groups(match_fn, batch_format="pandas")
     return (out, probe) if light_probe is not None else out

@@ -6,7 +6,7 @@ lineage + metrics". The reference has no checkpointing at all (a failed
 file-tree fan-out of contrib/update.sh). Engine design:
 
 * work is partitioned by shuffle **bucket** (hash of (cell, salt) —
-  stages/conflate.py); each bucket's decision rows are written to
+  stages/partition.py); each bucket's decision rows are written to
   ``out_dir/bucket=<b>/part-*.parquet`` ATOMICALLY (tmp dir + rename);
 * alongside, ``out_dir/_manifest/bucket=<b>.json`` records lineage
   (bucket id, distinct cells, row count, input row count) + metrics
@@ -31,12 +31,16 @@ def manifest_dir(out_dir: str) -> str:
 
 
 def config_fingerprint(cfg) -> str:
-    """Stable hash of the full ConflationConfig: bucket manifests are
-    only valid under the partitioning/threshold config that wrote them."""
+    """Stable hash of the full ConflationConfig and the partition-scheme
+    version: bucket manifests are only valid under the partitioning
+    rules and threshold config that wrote them."""
     import hashlib
     from dataclasses import asdict
 
-    payload = json.dumps(asdict(cfg), sort_keys=True, default=str)
+    from osm_merge_ray.stages.partition import PARTITION_SCHEME
+
+    payload = json.dumps({**asdict(cfg), "partition_scheme": PARTITION_SCHEME},
+                         sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -44,7 +48,7 @@ def check_run_manifest(out_dir: str, cfg, input_rows: int | None = None) -> None
     """Write (first run) or validate (resume) the run-level manifest.
 
     A resume against an out_dir produced under a DIFFERENT config
-    (num_buckets, cell_res, thresholds...) or different INPUT would
+    (num_buckets, cell_res, thresholds...), partition scheme or INPUT would
     silently skip buckets computed under incompatible partitioning and
     emit mixed, corrupt output — refuse instead. ``input_rows`` (total
     light rows, both sides) is the cheap input fingerprint.
@@ -61,9 +65,9 @@ def check_run_manifest(out_dir: str, cfg, input_rows: int | None = None) -> None
         if prior is not None and prior != fp:
             raise ValueError(
                 f"checkpoint dir {out_dir!r} was written under a different "
-                f"ConflationConfig (fingerprint {prior} != {fp}); its bucket "
-                "partitioning is incompatible with this run — use a fresh "
-                "out_dir or delete the old one"
+                f"ConflationConfig or partition scheme (fingerprint {prior} "
+                f"!= {fp}); its bucket partitioning is incompatible with "
+                "this run — use a fresh out_dir or delete the old one"
             )
         prior_rows = rec.get("input_rows")
         if (input_rows is not None and prior_rows is not None

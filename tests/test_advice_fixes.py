@@ -5,6 +5,7 @@ k>64 IVF partials, and the index-rebuild path guard."""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -192,3 +193,21 @@ def test_winnow_zero_selection_batch_typed(ray_session):
     ])
     pairs = winnow_pairs(docs, threshold=0.5).to_pandas()
     assert set(zip(pairs["id_a"], pairs["id_b"])) == {(3, 4)}
+
+
+def test_lineage_path_unifies_remote_scheme_and_local_symlinks(tmp_path):
+    """pyarrow lists remote files without their scheme, Ray's
+    include_paths keeps it: both spellings must get one frag id, and a
+    local path still resolves symlinks."""
+    from osm_merge_ray.pipelines.conflation import _frag_ids, _lineage_path
+
+    remote = [_lineage_path(p, remote=True) for p in ("s3://b/k", "b/k")]
+    assert remote == ["b/k", "b/k"]
+    assert len(set(_frag_ids(remote).tolist())) == 1
+    target = tmp_path / "part-0.parquet"
+    target.write_bytes(b"")
+    link = tmp_path / "link.parquet"
+    link.symlink_to(target)
+    local = [_lineage_path(str(link), remote=False),
+             _lineage_path("file://" + str(target), remote=False)]
+    assert local == [os.path.realpath(target)] * 2

@@ -49,26 +49,32 @@ def oracle_out(sides):
 
 def test_engine_matches_bruteforce_oracle(ray_session, sides, oracle_out):
     tp, ts = sides
-    got = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), CFG,
-                            skew_salting=False).to_pandas()
+    got = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), CFG).to_pandas()
     assert len(got) == N
     pd.testing.assert_frame_equal(_norm(got), oracle_out)
 
 
-def test_hot_cell_salting_is_semantically_invisible(ray_session, sides, oracle_out):
+@pytest.mark.parametrize("entry", ["conflate_datasets", "run_checkpointed"])
+def test_hot_cell_salting_is_semantically_invisible(ray_session, sides, oracle_out,
+                                                    entry, tmp_path):
     """Skew splitting must not change any decision (hot_cell_rows=5
-    forces heavy salting on the planted dense clusters)."""
+    forces heavy salting on the planted dense clusters), through the
+    streaming sink and through the checkpointed match+tile+write sink."""
     tp, ts = sides
     cfg = ConflationConfig(cell_res=15, num_buckets=16, hot_cell_rows=5)
-    got = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), cfg,
-                            skew_salting=True).to_pandas()
+    if entry == "conflate_datasets":
+        got = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), cfg).to_pandas()
+    else:
+        out_dir = str(tmp_path / "ckpt")
+        run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), out_dir, cfg)
+        got = CK.read_output(out_dir).to_pandas()
+    assert len(got) == N
     pd.testing.assert_frame_equal(_norm(got), oracle_out)
 
 
 def test_planted_categories_come_out_right(ray_session, sides):
     tp, ts = sides
-    got = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), CFG,
-                            skew_salting=False).to_pandas()
+    got = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), CFG).to_pandas()
     got["i"] = got["image_id"].str[1:].astype(int)
     cat = got.set_index("i")
     # exact duplicates (cat 0,1): matched to same index, duplicate
@@ -92,7 +98,7 @@ def test_tile_assignment_matches_direct_projection(ray_session, sides):
     cfg = CFG
     grid = default_grid(cfg)
     out = assign_tiles(
-        conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), cfg, skew_salting=False),
+        conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), cfg),
         grid,
     ).to_pandas()
     exp = grid.tile_of_lonlat(out["lon"].to_numpy(), out["lat"].to_numpy())
@@ -155,13 +161,36 @@ def test_checkpoint_refuses_changed_config(ray_session, sides, tmp_path):
                          ConflationConfig(cell_res=15, num_buckets=8, hot_cell_rows=200))
 
 
+def test_checkpoint_refuses_older_partition_scheme(ray_session, sides, tmp_path,
+                                                  monkeypatch):
+    """Hot-cell rows move to other buckets when the partition rules
+    change, so a resume against buckets written under an older scheme
+    must refuse. The literal is the fingerprint that runs under the
+    previous, unversioned partition rules recorded for this config."""
+    import json
+
+    from osm_merge_ray.stages import partition as P
+
+    tp, ts = sides
+    cfg = ConflationConfig(cell_res=15, num_buckets=16, hot_cell_rows=200)
+    d = str(tmp_path / "ckpt")
+    os.makedirs(CK.manifest_dir(d))
+    with open(os.path.join(CK.manifest_dir(d), "run.json"), "w") as fh:
+        json.dump({"config_fingerprint": "9a7d30b0b473f267", "input_rows": 2 * N}, fh)
+    with pytest.raises(ValueError, match="partition scheme"):
+        run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d, cfg)
+    # the scheme version alone moves the fingerprint
+    fp = CK.config_fingerprint(cfg)
+    monkeypatch.setattr(P, "PARTITION_SCHEME", P.PARTITION_SCHEME + 1)
+    assert CK.config_fingerprint(cfg) != fp
+
+
 def test_empty_secondary_all_new(ray_session, sides):
     """Verify-skill probe: an empty secondary side → every primary is
     'new' (the no-candidate fallback, conflator.py:318-325)."""
     tp, _ = sides
     empty = synth_table(0, "secondary", with_bytes=False)
-    out = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(empty), CFG,
-                            skew_salting=False).to_pandas()
+    out = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(empty), CFG).to_pandas()
     assert len(out) == N
     assert (out["decision"] == "new").all()
     assert (out["matched_id"].isna()).all()
@@ -176,8 +205,7 @@ def test_derived_centroid_path(ray_session):
     tp = synth_table(100, "primary", with_bytes=False)
     tp = tp.drop_columns(["lon", "lat"])
     ts = synth_table(100, "primary", with_bytes=False).drop_columns(["lon", "lat"])
-    out = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), CFG,
-                            skew_salting=False).to_pandas()
+    out = conflate_datasets(rd.from_arrow(tp), rd.from_arrow(ts), CFG).to_pandas()
     assert len(out) == 100
     # same ids → same derived centroid + caption + phash → duplicates
     assert (out["decision"] == "duplicate").all()

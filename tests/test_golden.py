@@ -27,7 +27,7 @@ def test_flagship_decisions_match_golden(ray_session):
     ts = synth_table(200, "secondary", with_bytes=False)
     got = conflate_datasets(
         rd.from_arrow(tp), rd.from_arrow(ts),
-        ConflationConfig(num_buckets=8), skew_salting=False,
+        ConflationConfig(num_buckets=8),
     ).to_pandas()
     got = (got[["image_id", "matched_id", "decision", "hits", "dist_mm"]]
            .sort_values("image_id").reset_index(drop=True))

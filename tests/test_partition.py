@@ -1,7 +1,6 @@
 """Shared partition machinery (stages/partition.py): band-cover
-replication factor, point equivalence with the flagship border band,
-hot-cell refinement correctness, and the scale-path anti-join/Bloom
-builds that replaced round-1 driver materializations."""
+replication factor, hot-cell refinement correctness, and the scale-path
+anti-join/Bloom builds that replaced round-1 driver materializations."""
 
 import numpy as np
 import pyarrow as pa
@@ -11,19 +10,6 @@ import ray.data as rd
 
 from osm_merge_ray.config import ConflationConfig
 from osm_merge_ray.stages import partition as P
-from osm_merge_ray.stages.conflate import border_band_targets
-
-
-def test_bbox_band_targets_point_equals_border_band():
-    rng = np.random.default_rng(3)
-    lon = rng.uniform(-120, -100, 500)
-    lat = rng.uniform(35, 45, 500)
-    res, d = 15, 7.0
-    r1, c1 = border_band_targets(lon, lat, res, d)
-    r2, c2 = P.bbox_band_targets(lon, lat, lon, lat, res, d)
-    k1 = np.sort(r1 * (1 << 60) + c1)
-    k2 = np.sort(r2 * (1 << 60) + c2)
-    assert np.array_equal(k1, k2)
 
 
 def test_band_cover_replication_factor_is_near_one():
@@ -82,10 +68,8 @@ def test_lines_hot_cell_refinement_matches_unsalted(ray_session):
     ts = pa.Table.from_pylist(sec_rows)
     cfg = ConflationConfig(cell_res=12, num_buckets=8, hot_cell_rows=20)
     plain = conflate_lines(rd.from_arrow(tp), rd.from_arrow(ts),
-                           ConflationConfig(cell_res=12, num_buckets=8),
-                           skew_salting=False).to_pandas()
-    salted = conflate_lines(rd.from_arrow(tp), rd.from_arrow(ts), cfg,
-                            skew_salting=True).to_pandas()
+                           ConflationConfig(cell_res=12, num_buckets=8)).to_pandas()
+    salted = conflate_lines(rd.from_arrow(tp), rd.from_arrow(ts), cfg).to_pandas()
     cols = ["feature_id", "matched_id", "decision", "hits"]
     a = plain[cols].sort_values("feature_id").reset_index(drop=True)
     b = salted[cols].sort_values("feature_id").reset_index(drop=True)

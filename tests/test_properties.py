@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from osm_merge_ray.geo import cells as C
 from osm_merge_ray.geo.distance import haversine_m
-from osm_merge_ray.stages.conflate import border_band_targets
+from osm_merge_ray.stages.partition import bbox_band_targets
 from osm_merge_ray.text import fuzz as F
 
 lons = st.floats(min_value=-179.99, max_value=179.99, allow_nan=False)
@@ -31,13 +31,15 @@ def test_cell_roundtrip_property(lon, lat, res):
        st.floats(min_value=0, max_value=2 * np.pi))
 def test_border_band_covers_nearby_points(lon, lat, frac, ang):
     """Any point within distance_m of p must share a target cell with
-    p's own cell — the correctness invariant of band replication."""
+    p's own cell — the correctness invariant of band replication, for
+    points as zero-extent boxes."""
     res = C.res_for_distance(7.0)
     d = 7.0 * frac
     lat2 = lat + d * np.cos(ang) / C.M_PER_DEG_LAT
     lon2 = lon + d * np.sin(ang) / (111320.0 * max(np.cos(np.radians(lat)), 1e-6))
     home = int(C.lonlat_to_cell(np.array([lon]), np.array([lat]), res)[0])
-    _, targets = border_band_targets(np.array([lon2]), np.array([lat2]), res, 7.0)
+    lon2, lat2 = np.array([lon2]), np.array([lat2])
+    _, targets = bbox_band_targets(lon2, lat2, lon2, lat2, res, 7.0)
     # the neighbor either lives in p's cell or replicates into it
     assert home in set(targets.tolist())
 

@@ -38,7 +38,6 @@ def test_render_tiles_with_decision_semijoin(ray_session, tmp_path):
     cfg = ConflationConfig(num_buckets=8)
     decisions = conflate_datasets(
         rd.from_arrow(tp.drop_columns(["bytes"])), rd.from_arrow(ts), cfg,
-        skew_salting=False,
     ).materialize()
     ddf = decisions.to_pandas()
     kept_ids = set(ddf[ddf["decision"].isin(["merged", "duplicate"])]["image_id"])
