@@ -28,29 +28,6 @@ def haversine_m(lon1, lat1, lon2, lat2) -> np.ndarray:
     return 2.0 * EARTH_R * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def haversine_cross_m(lon1, lat1, lon2, lat2) -> np.ndarray:
-    """All-pairs distance matrix (n1, n2) in meters."""
-    return haversine_m(
-        np.asarray(lon1)[:, None], np.asarray(lat1)[:, None],
-        np.asarray(lon2)[None, :], np.asarray(lat2)[None, :],
-    )
-
-
-def equirect_m2(lon1, lat1, lon2, lat2, lat0: float) -> np.ndarray:
-    """Squared planar distance (m^2), equirectangular approximation at
-    reference latitude ``lat0``.
-
-    Uses only *, -, + (IEEE-exactly-rounded ops) so an external SQL
-    oracle computing the same formula gets bit-identical doubles — the
-    parity trick the driver's value-hash check relies on.
-    """
-    kx = 111320.0 * float(np.cos(np.radians(lat0)))
-    ky = 110540.0
-    dx = (np.asarray(lon1, dtype=np.float64) - np.asarray(lon2, dtype=np.float64)) * kx
-    dy = (np.asarray(lat1, dtype=np.float64) - np.asarray(lat2, dtype=np.float64)) * ky
-    return dx * dx + dy * dy
-
-
 def point_segment_dist2(px, py, ax, ay, bx, by) -> np.ndarray:
     """Squared planar distance from points to segments (broadcastable)."""
     px, py, ax, ay, bx, by = (np.asarray(a, dtype=np.float64) for a in (px, py, ax, ay, bx, by))

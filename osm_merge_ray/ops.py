@@ -272,11 +272,6 @@ def pack_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a << np.int64(31)) | b
 
 
-def unpack_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=np.int64)
-    return p >> np.int64(31), p & np.int64((1 << 31) - 1)
-
-
 def dedup_pairs(id_a: np.ndarray, id_b: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct (id_a, id_b) rows for ARBITRARY int64 ids — no packing

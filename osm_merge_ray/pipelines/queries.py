@@ -16,6 +16,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from osm_merge_ray.config import ConflationConfig
+from osm_merge_ray.geo import cells as C
+
 # ---------------------------------------------------------------------------
 # shared exact-parity constants (mirrored literally in the SQL strings)
 # ---------------------------------------------------------------------------
@@ -89,96 +92,136 @@ FROM documents
 """
 
 
-def _pack(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    return cx * np.int64(4096) + cy  # cx<=1440, cy<=720 → exact, collision-free
+#: spine band of the planar twins (26,083 m). The spine's lon band
+#: BAND_M / (M_PER_DEG_LAT * cos lat) is >= DIST_M / KX at every latitude
+#: and its lat band DIST_M / KX is >= DIST_M / KY, so every pair inside the
+#: planar DIST_M disc co-locates in one (cell, salt) group. At
+#: distance_m = BAND_M the spine's fine resolution equals cell_res: hot
+#: cells are salted, not refined. The SQL twins' 3x3 ring of 0.25-degree
+#: cells holds the whole disc (DIST_M / KX < 0.25) and every overlapping
+#: rectangle pair (half-widths < 0.12), so the engine need not mirror it.
+BAND_M = DIST_M * C.M_PER_DEG_LAT / KX
+SPATIAL_CFG = ConflationConfig(distance_m=BAND_M,
+                               cell_res=C.res_for_distance(BAND_M))
 
 
-def _pair_groups(a: pd.DataFrame, b: pd.DataFrame, emit):
-    """Group A rows with replicated B rows by exact packed cell, run
-    ``emit(a_slice_indices, b_slice_indices)`` per cell."""
-    ka = _pack(a["cx"].to_numpy(), a["cy"].to_numpy())
-    kb = _pack(b["cx"].to_numpy(), b["cy"].to_numpy())
+def _rect(doc_id: np.ndarray, lon: np.ndarray, lat: np.ndarray):
+    """Synthetic rectangle footprint (x0, y0, x1, y1) of each doc."""
+    i = doc_id.astype(np.int64)
+    h3 = ((i + 77) * HASH_A) % np.int64(MOD)
+    h4 = ((i + 777) * HASH_A) % np.int64(MOD)
+    wx = 0.02 + h3.astype(np.float64) / MOD * 0.1
+    wy = 0.02 + h4.astype(np.float64) / MOD * 0.1
+    return lon - wx, lat - wy, lon + wx, lat + wy
+
+
+def _spatial_light(sf_dir: str, extra_cols=(), rects: bool = False):
+    """Light rows of the derived documents points for the conflation
+    spine: even doc_ids are primaries (side 0), odd doc_ids secondaries
+    (side 1); ``rects`` adds each doc's rectangle as its bbox."""
+    cell_res = SPATIAL_CFG.cell_res
+
+    def light(t: pa.Table) -> pa.Table:
+        doc_id = t.column("doc_id").to_numpy()
+        lon, lat = _derive_lonlat(doc_id)
+        cols = {
+            "doc_id": pa.array(doc_id, pa.int64()),
+            "feature_id": pa.array(doc_id, pa.int64()),
+            "lon": pa.array(lon, pa.float64()),
+            "lat": pa.array(lat, pa.float64()),
+            "cell": pa.array(C.lonlat_to_cell(lon, lat, cell_res), pa.int64()),
+            "side": pa.array((doc_id % 2).astype(np.int8), pa.int8()),
+        }
+        if rects:
+            for k, v in zip(("x0", "y0", "x1", "y1"), _rect(doc_id, lon, lat)):
+                cols[k] = pa.array(v, pa.float64())
+        for c in extra_cols:
+            cols[c] = t.column(c)
+        return pa.table(cols)
+
+    return _read(sf_dir, "documents", columns=["doc_id", *extra_cols]
+                 ).map_batches(light, batch_format="pyarrow")
+
+
+def _on_spine(sf_dir: str, sink, extra_cols=(), rects: bool = False):
+    """Run ``sink`` per bucket of ``partition.shuffle_match`` over the
+    light rows; points band at BAND_M, rectangles at their max reach."""
+    from osm_merge_ray.stages.partition import shuffle_match
+
+    return shuffle_match(_spatial_light(sf_dir, extra_cols, rects), SPATIAL_CFG,
+                         0.0 if rects else BAND_M, sink)
+
+
+def _group_blocks(a: pd.DataFrame, b: pd.DataFrame):
+    """Row indices (ai, bi) of every ``group_key(cell, salt)`` group
+    present on both sides of one bucket."""
+    from osm_merge_ray.stages.partition import group_key
+
+    ka = group_key(a["cell"].to_numpy(), a["salt"].to_numpy())
+    kb = group_key(b["cell"].to_numpy(), b["salt"].to_numpy())
     oa = np.argsort(ka, kind="stable")
     ob = np.argsort(kb, kind="stable")
     kas, kbs = ka[oa], kb[ob]
-    cells = np.unique(kas)
-    alo = np.searchsorted(kas, cells)
-    ahi = np.searchsorted(kas, cells, side="right")
-    blo = np.searchsorted(kbs, cells)
-    bhi = np.searchsorted(kbs, cells, side="right")
-    for g in range(len(cells)):
-        ai = oa[alo[g]:ahi[g]]
-        bi = ob[blo[g]:bhi[g]]
-        if len(bi):
-            emit(ai, bi)
+    keys = np.unique(kas)
+    bounds = zip(np.searchsorted(kas, keys), np.searchsorted(kas, keys, side="right"),
+                 np.searchsorted(kbs, keys), np.searchsorted(kbs, keys, side="right"))
+    for alo, ahi, blo, bhi in bounds:
+        if bhi > blo:
+            yield oa[alo:ahi], ob[blo:bhi]
 
 
-def _spatial_join_pipeline(sf_dir: str, extra_cols: list[str], group_fn):
-    """Shared plumbing: derive/cells → replicate odd side to 3x3 ring →
-    one bucket groupby → ``group_fn`` per bucket."""
-    import ray.data as rd
+def _cat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
-    from osm_merge_ray.util import splitmix64
 
-    ds = _read(sf_dir, "documents", columns=["doc_id"] + extra_cols)
-    ds = ds.map_batches(_with_cells, batch_format="pyarrow")
+def _planar_candidates(df: pd.DataFrame):
+    """One bucket's primaries ``a``, secondaries ``b`` and every pair
+    within the planar DIST_M disc as (a, b, pi, si, d2): pi/si index
+    a/b, d2 in the SQL's operand order."""
+    a, b = df[df["side"] == 0], df[df["side"] == 1]
+    a_lon, a_lat = a["lon"].to_numpy(), a["lat"].to_numpy()
+    b_lon, b_lat = b["lon"].to_numpy(), b["lat"].to_numpy()
+    pi, si, d2s = [], [], []
+    for ai, bi in _group_blocks(a, b):
+        dx = (a_lon[ai][:, None] - b_lon[bi][None, :]) * KX
+        dy = (a_lat[ai][:, None] - b_lat[bi][None, :]) * KY
+        d2 = dx * dx + dy * dy
+        rr, cc = np.nonzero(d2 <= D2_MAX)
+        pi.append(ai[rr])
+        si.append(bi[cc])
+        d2s.append(d2[rr, cc])
+    return a, b, _cat(pi, np.int64), _cat(si, np.int64), _cat(d2s, np.float64)
 
-    def split_tag(t: pa.Table) -> pa.Table:
-        doc_id = t.column("doc_id").to_numpy()
-        even = doc_id % 2 == 0
-        a = t.filter(pa.array(even)).append_column(
-            "side", pa.array(np.zeros(int(even.sum()), dtype=np.int8))
-        )
-        b = t.filter(pa.array(~even))
-        # replicate odd side to its 3x3 neighborhood
-        reps = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                bb = b
-                cx = bb.column("cx").to_numpy() + dx
-                cy = bb.column("cy").to_numpy() + dy
-                bb = bb.set_column(bb.schema.get_field_index("cx"), "cx", pa.array(cx, pa.int64()))
-                bb = bb.set_column(bb.schema.get_field_index("cy"), "cy", pa.array(cy, pa.int64()))
-                reps.append(bb.append_column(
-                    "side", pa.array(np.ones(len(bb), dtype=np.int8))
-                ))
-        out = pa.concat_tables([a] + reps)
-        key = _pack(out.column("cx").to_numpy(), out.column("cy").to_numpy())
-        bucket = (splitmix64(key.view(np.uint64)) % np.uint64(64)).astype(np.int64)
-        return out.append_column("bucket", pa.array(bucket, pa.int64()))
 
-    tagged = ds.map_batches(split_tag, batch_format="pyarrow")
-    return tagged.groupby("bucket").map_groups(group_fn, batch_format="pandas")
+def _caption_lang_hits(a: pd.DataFrame, b: pd.DataFrame,
+                       pi: np.ndarray, si: np.ndarray) -> np.ndarray:
+    """Per pair: caption hit (Levenshtein ratio of the first CAP_LEN
+    chars > CAP_SIM_MIN, length difference <= 3) + lang equality."""
+    from osm_merge_ray.text.fuzz import batch_levenshtein
+
+    a_txt = a["text"].str.slice(0, CAP_LEN).to_numpy()[pi]
+    b_txt = b["text"].str.slice(0, CAP_LEN).to_numpy()[si]
+    lev = batch_levenshtein(a_txt, b_txt, maxlen=CAP_LEN)
+    la = np.fromiter((len(s) for s in a_txt), np.int64, len(pi))
+    lb = np.fromiter((len(s) for s in b_txt), np.int64, len(pi))
+    sim = 100.0 * (1.0 - lev / np.maximum(np.maximum(la, lb), 1).astype(np.float64))
+    cap_hit = (sim > CAP_SIM_MIN) & (np.abs(la - lb) <= 3)
+    lang_hit = a["lang"].to_numpy()[pi] == b["lang"].to_numpy()[si]
+    return cap_hit.astype(np.int64) + lang_hit.astype(np.int64)
 
 
 def spatial_distance_join(sf_dir: str):
     """All (even doc, odd doc) pairs within 20 km planar distance."""
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 0]
-        b = df[df["side"] == 1]
-        ia, ib, d2s = [], [], []
-        a_lon, a_lat = a["lon"].to_numpy(), a["lat"].to_numpy()
-        b_lon, b_lat = b["lon"].to_numpy(), b["lat"].to_numpy()
-        a_id, b_id = a["doc_id"].to_numpy(), b["doc_id"].to_numpy()
-
-        def emit(ai, bi):
-            dx = (a_lon[ai][:, None] - b_lon[bi][None, :]) * KX
-            dy = (a_lat[ai][:, None] - b_lat[bi][None, :]) * KY
-            d2 = dx * dx + dy * dy
-            rr, cc = np.nonzero(d2 <= D2_MAX)
-            ia.extend(a_id[ai][rr].tolist())
-            ib.extend(b_id[bi][cc].tolist())
-            d2s.extend(d2[rr, cc].tolist())
-
-        _pair_groups(a, b, emit)
+        a, b, pi, si, d2 = _planar_candidates(df)
         return pd.DataFrame({
-            "id_a": pd.array(ia, dtype=np.int64),
-            "id_b": pd.array(ib, dtype=np.int64),
-            "d2": pd.array(d2s, dtype=np.float64),
+            "id_a": a["doc_id"].to_numpy()[pi],
+            "id_b": b["doc_id"].to_numpy()[si],
+            "d2": d2,
         })
 
-    return _spatial_join_pipeline(sf_dir, [], per_bucket)
+    return _on_spine(sf_dir, per_bucket)
 
 
 SQL_DISTANCE_JOIN = f"""
@@ -213,34 +256,13 @@ def spatial_sample_join(sf_dir: str, rate_pct: int = 10):
     engine would swap the modular rule for a seeded hash)."""
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 0]
-        b = df[df["side"] == 1]
-        a_lon, a_lat = a["lon"].to_numpy(), a["lat"].to_numpy()
-        b_lon, b_lat = b["lon"].to_numpy(), b["lat"].to_numpy()
-        a_id, b_id = a["doc_id"].to_numpy(), b["doc_id"].to_numpy()
-        ia, ib, d2s = [], [], []
-
-        def emit(ai, bi):
-            dx = (a_lon[ai][:, None] - b_lon[bi][None, :]) * KX
-            dy = (a_lat[ai][:, None] - b_lat[bi][None, :]) * KY
-            d2 = dx * dx + dy * dy
-            rr, cc = np.nonzero(d2 <= D2_MAX)
-            ia.extend(a_id[ai][rr].tolist())
-            ib.extend(b_id[bi][cc].tolist())
-            d2s.extend(d2[rr, cc].tolist())
-
-        _pair_groups(a, b, emit)
-        id_a = np.asarray(ia, dtype=np.int64)
-        id_b = np.asarray(ib, dtype=np.int64)
-        d2 = np.asarray(d2s, dtype=np.float64)
+        a, b, pi, si, d2 = _planar_candidates(df)
+        id_a = a["doc_id"].to_numpy()[pi]
+        id_b = b["doc_id"].to_numpy()[si]
         keep = (id_a * 31 + id_b) % 100 < rate_pct
-        return pd.DataFrame({
-            "id_a": pd.array(id_a[keep], dtype=np.int64),
-            "id_b": pd.array(id_b[keep], dtype=np.int64),
-            "d2": pd.array(d2[keep], dtype=np.float64),
-        })
+        return pd.DataFrame({"id_a": id_a[keep], "id_b": id_b[keep], "d2": d2[keep]})
 
-    return _spatial_join_pipeline(sf_dir, [], per_bucket)
+    return _on_spine(sf_dir, per_bucket)
 
 
 SQL_SAMPLE_JOIN = SQL_DISTANCE_JOIN.rstrip() + """
@@ -250,51 +272,27 @@ SQL_SAMPLE_JOIN = SQL_DISTANCE_JOIN.rstrip() + """
 
 def spatial_knn_join(sf_dir: str, k: int = 3):
     """Bounded kNN join: the k nearest odd docs within 20 km of each
-    even doc (rank by quantized distance, id tie-break). The per-cell
-    candidate generation is the same one-shuffle pattern; ranking is a
-    lexsort inside the bucket."""
+    even doc (rank by quantized distance, id tie-break). Candidates come
+    from the spine's (cell, salt) groups; ranking is a lexsort inside
+    the bucket."""
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         from osm_merge_ray.ops import rank_within_groups
 
-        a = df[df["side"] == 0]
-        b = df[df["side"] == 1]
-        a_lon, a_lat = a["lon"].to_numpy(), a["lat"].to_numpy()
-        b_lon, b_lat = b["lon"].to_numpy(), b["lat"].to_numpy()
+        a, b, pi, si, d2 = _planar_candidates(df)
         a_id, b_id = a["doc_id"].to_numpy(), b["doc_id"].to_numpy()
-        pi, si, d2s = [], [], []
-
-        def emit(ai, bi):
-            dx = (a_lon[ai][:, None] - b_lon[bi][None, :]) * KX
-            dy = (a_lat[ai][:, None] - b_lat[bi][None, :]) * KY
-            d2 = dx * dx + dy * dy
-            rr, cc = np.nonzero(d2 <= D2_MAX)
-            pi.extend(ai[rr].tolist())
-            si.extend(bi[cc].tolist())
-            d2s.extend(d2[rr, cc].tolist())
-
-        _pair_groups(a, b, emit)
-        pi_a = np.asarray(pi, dtype=np.int64)
-        si_a = np.asarray(si, dtype=np.int64)
-        d2_a = np.asarray(d2s, dtype=np.float64)
-        if len(pi_a) == 0:
-            return pd.DataFrame({
-                "id_a": pd.Series(dtype=np.int64), "id_b": pd.Series(dtype=np.int64),
-                "d2": pd.Series(dtype=np.float64), "rank": pd.Series(dtype=np.int64),
-            })
-        d2_e3 = np.floor(d2_a * 1000.0).astype(np.int64)  # exact-op quantize
-        order = np.lexsort((b_id[si_a], d2_e3, pi_a))
-        pos = rank_within_groups(pi_a[order])
+        d2_e3 = np.floor(d2 * 1000.0).astype(np.int64)  # exact-op quantize
+        order = np.lexsort((b_id[si], d2_e3, pi))
+        pos = rank_within_groups(pi[order])
         keep = order[pos < k]
-        rank = (pos[pos < k] + 1).astype(np.int64)
         return pd.DataFrame({
-            "id_a": a_id[pi_a[keep]],
-            "id_b": b_id[si_a[keep]],
-            "d2": d2_a[keep],
-            "rank": rank,
+            "id_a": a_id[pi[keep]],
+            "id_b": b_id[si[keep]],
+            "d2": d2[keep],
+            "rank": (pos[pos < k] + 1).astype(np.int64),
         })
 
-    return _spatial_join_pipeline(sf_dir, [], per_bucket)
+    return _on_spine(sf_dir, per_bucket)
 
 
 SQL_KNN_JOIN = f"""
@@ -333,54 +331,22 @@ def spatial_conflate(sf_dir: str):
     derived points: caption = first 30 chars (Levenshtein-ratio scorer,
     the DuckDB-expressible variant of fuzz matching), second key = lang
     equality, best-by-(hits, distance, id), new/merged/duplicate."""
-    from osm_merge_ray.text.fuzz import batch_levenshtein
+    from osm_merge_ray.ops import first_in_groups
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 0]
-        b = df[df["side"] == 1]
-        a_lon, a_lat = a["lon"].to_numpy(), a["lat"].to_numpy()
-        b_lon, b_lat = b["lon"].to_numpy(), b["lat"].to_numpy()
+        a, b, pi, si, d2 = _planar_candidates(df)
         a_id, b_id = a["doc_id"].to_numpy(), b["doc_id"].to_numpy()
-        a_txt = a["text"].str.slice(0, CAP_LEN).to_numpy()
-        b_txt = b["text"].str.slice(0, CAP_LEN).to_numpy()
-        a_lang, b_lang = a["lang"].to_numpy(), b["lang"].to_numpy()
-
-        pi, si, d2s = [], [], []
-
-        def emit(ai, bi):
-            dx = (a_lon[ai][:, None] - b_lon[bi][None, :]) * KX
-            dy = (a_lat[ai][:, None] - b_lat[bi][None, :]) * KY
-            d2 = dx * dx + dy * dy
-            rr, cc = np.nonzero(d2 <= D2_MAX)
-            pi.extend(ai[rr].tolist())
-            si.extend(bi[cc].tolist())
-            d2s.extend(d2[rr, cc].tolist())
-
-        _pair_groups(a, b, emit)
-        pi_a = np.asarray(pi, dtype=np.int64)
-        si_a = np.asarray(si, dtype=np.int64)
-        d2_a = np.asarray(d2s, dtype=np.float64)
-
         n_p = len(a_id)
         matched = np.full(n_p, -1, dtype=np.int64)
         hits_out = np.zeros(n_p, dtype=np.int64)
         d2_out = np.full(n_p, -1.0, dtype=np.float64)
-        if len(pi_a):
-            lev = batch_levenshtein(a_txt[pi_a], b_txt[si_a], maxlen=CAP_LEN)
-            la = np.fromiter((len(s) for s in a_txt[pi_a]), np.int64, len(pi_a))
-            lb = np.fromiter((len(s) for s in b_txt[si_a]), np.int64, len(pi_a))
-            sim = 100.0 * (1.0 - lev / np.maximum(np.maximum(la, lb), 1).astype(np.float64))
-            cap_hit = (sim > CAP_SIM_MIN) & (np.abs(la - lb) <= 3)
-            lang_hit = a_lang[pi_a] == b_lang[si_a]
-            hits = cap_hit.astype(np.int64) + lang_hit.astype(np.int64)
-            order = np.lexsort((b_id[si_a], d2_a, -hits, pi_a))
-            po = pi_a[order]
-            first = np.ones(len(po), dtype=bool)
-            first[1:] = po[1:] != po[:-1]
-            best = order[first]
-            matched[pi_a[best]] = b_id[si_a[best]]
-            hits_out[pi_a[best]] = hits[best]
-            d2_out[pi_a[best]] = d2_a[best]
+        if len(pi):
+            hits = _caption_lang_hits(a, b, pi, si)
+            order = np.lexsort((b_id[si], d2, -hits, pi))
+            best = order[first_in_groups(pi[order])]
+            matched[pi[best]] = b_id[si[best]]
+            hits_out[pi[best]] = hits[best]
+            d2_out[pi[best]] = d2[best]
         decision = np.where(
             matched < 0, "new", np.where(hits_out >= 2, "duplicate", "merged")
         )
@@ -392,7 +358,7 @@ def spatial_conflate(sf_dir: str):
             "d2": d2_out,
         })
 
-    return _spatial_join_pipeline(sf_dir, ["text", "lang"], per_bucket)
+    return _on_spine(sf_dir, per_bucket, ["text", "lang"])
 
 
 def spatial_conflate_cascade(sf_dir: str):
@@ -402,57 +368,25 @@ def spatial_conflate_cascade(sf_dir: str):
     priority — and a primary with MULTIPLE scoring candidates is a
     'duplicate' (the fixme rule). Class derived as (doc_id // 2) % 2
     (node-analog = 0)."""
-    from osm_merge_ray.text.fuzz import batch_levenshtein
+    from osm_merge_ray.ops import first_in_groups
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 0]
-        b = df[df["side"] == 1]
-        a_lon, a_lat = a["lon"].to_numpy(), a["lat"].to_numpy()
-        b_lon, b_lat = b["lon"].to_numpy(), b["lat"].to_numpy()
+        a, b, pi, si, d2 = _planar_candidates(df)
         a_id, b_id = a["doc_id"].to_numpy(), b["doc_id"].to_numpy()
-        a_txt = a["text"].str.slice(0, CAP_LEN).to_numpy()
-        b_txt = b["text"].str.slice(0, CAP_LEN).to_numpy()
-        a_lang, b_lang = a["lang"].to_numpy(), b["lang"].to_numpy()
-
-        pi, si, d2s = [], [], []
-
-        def emit(ai, bi):
-            dx = (a_lon[ai][:, None] - b_lon[bi][None, :]) * KX
-            dy = (a_lat[ai][:, None] - b_lat[bi][None, :]) * KY
-            d2 = dx * dx + dy * dy
-            rr, cc = np.nonzero(d2 <= D2_MAX)
-            pi.extend(ai[rr].tolist())
-            si.extend(bi[cc].tolist())
-            d2s.extend(d2[rr, cc].tolist())
-
-        _pair_groups(a, b, emit)
-        pi_a = np.asarray(pi, dtype=np.int64)
-        si_a = np.asarray(si, dtype=np.int64)
-        d2_a = np.asarray(d2s, dtype=np.float64)
-
         n_p = len(a_id)
         matched = np.full(n_p, -1, dtype=np.int64)
         hits_out = np.zeros(n_p, dtype=np.int64)
         klass_out = np.full(n_p, -1, dtype=np.int64)
         n_cands = np.zeros(n_p, dtype=np.int64)
-        if len(pi_a):
-            np.add.at(n_cands, pi_a, 1)
-            lev = batch_levenshtein(a_txt[pi_a], b_txt[si_a], maxlen=CAP_LEN)
-            la = np.fromiter((len(s) for s in a_txt[pi_a]), np.int64, len(pi_a))
-            lb = np.fromiter((len(s) for s in b_txt[si_a]), np.int64, len(pi_a))
-            sim = 100.0 * (1.0 - lev / np.maximum(np.maximum(la, lb), 1).astype(np.float64))
-            cap_hit = (sim > CAP_SIM_MIN) & (np.abs(la - lb) <= 3)
-            lang_hit = a_lang[pi_a] == b_lang[si_a]
-            hits = cap_hit.astype(np.int64) + lang_hit.astype(np.int64)
-            klass = (b_id[si_a] // 2) % 2  # 0 = node analog, 1 = way analog
-            order = np.lexsort((b_id[si_a], d2_a, klass, -hits, pi_a))
-            po = pi_a[order]
-            first = np.ones(len(po), dtype=bool)
-            first[1:] = po[1:] != po[:-1]
-            best = order[first]
-            matched[pi_a[best]] = b_id[si_a[best]]
-            hits_out[pi_a[best]] = hits[best]
-            klass_out[pi_a[best]] = klass[best]
+        if len(pi):
+            np.add.at(n_cands, pi, 1)
+            hits = _caption_lang_hits(a, b, pi, si)
+            klass = (b_id[si] // 2) % 2  # 0 = node analog, 1 = way analog
+            order = np.lexsort((b_id[si], d2, klass, -hits, pi))
+            best = order[first_in_groups(pi[order])]
+            matched[pi[best]] = b_id[si[best]]
+            hits_out[pi[best]] = hits[best]
+            klass_out[pi[best]] = klass[best]
         decision = np.where(
             matched < 0, "new",
             np.where((n_cands > 1) & (hits_out > 0), "duplicate", "merged"),
@@ -465,7 +399,7 @@ def spatial_conflate_cascade(sf_dir: str):
             "matched_class": klass_out,
         })
 
-    return _spatial_join_pipeline(sf_dir, ["text", "lang"], per_bucket)
+    return _on_spine(sf_dir, per_bucket, ["text", "lang"])
 
 
 SQL_CONFLATE_CASCADE = f"""
@@ -529,63 +463,29 @@ def spatial_conflate_flagship(sf_dir: str):
     threshold → 'duplicate', mirroring stages/conflate.py's
     min_hits_accept + dup_distance_m gate)."""
     from osm_merge_ray.dedup.simhash import simhash
-    from osm_merge_ray.text.fuzz import batch_levenshtein
+    from osm_merge_ray.image.phash import hamming64
+    from osm_merge_ray.ops import first_in_groups
     from osm_merge_ray.util import poly41_str
 
     DUP_D2 = 3000.0 * 3000.0  # dup distance analog (m^2, planar)
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 0]
-        b = df[df["side"] == 1]
-        a_lon, a_lat = a["lon"].to_numpy(), a["lat"].to_numpy()
-        b_lon, b_lat = b["lon"].to_numpy(), b["lat"].to_numpy()
+        a, b, pi, si, d2 = _planar_candidates(df)
         a_id, b_id = a["doc_id"].to_numpy(), b["doc_id"].to_numpy()
-        a_txt = a["text"].str.slice(0, CAP_LEN).to_numpy()
-        b_txt = b["text"].str.slice(0, CAP_LEN).to_numpy()
-        a_lang, b_lang = a["lang"].to_numpy(), b["lang"].to_numpy()
-        a_ph = simhash(a["text"].tolist(), n_bits=40, hasher=poly41_str)
-        b_ph = simhash(b["text"].tolist(), n_bits=40, hasher=poly41_str)
-
-        pi, si, d2s = [], [], []
-
-        def emit(ai, bi):
-            dx = (a_lon[ai][:, None] - b_lon[bi][None, :]) * KX
-            dy = (a_lat[ai][:, None] - b_lat[bi][None, :]) * KY
-            d2 = dx * dx + dy * dy
-            rr, cc = np.nonzero(d2 <= D2_MAX)
-            pi.extend(ai[rr].tolist())
-            si.extend(bi[cc].tolist())
-            d2s.extend(d2[rr, cc].tolist())
-
-        _pair_groups(a, b, emit)
-        pi_a = np.asarray(pi, dtype=np.int64)
-        si_a = np.asarray(si, dtype=np.int64)
-        d2_a = np.asarray(d2s, dtype=np.float64)
-
         n_p = len(a_id)
         matched = np.full(n_p, -1, dtype=np.int64)
         hits_out = np.zeros(n_p, dtype=np.int64)
         d2_out = np.full(n_p, -1.0, dtype=np.float64)
-        if len(pi_a):
-            lev = batch_levenshtein(a_txt[pi_a], b_txt[si_a], maxlen=CAP_LEN)
-            la = np.fromiter((len(s) for s in a_txt[pi_a]), np.int64, len(pi_a))
-            lb = np.fromiter((len(s) for s in b_txt[si_a]), np.int64, len(pi_a))
-            sim = 100.0 * (1.0 - lev / np.maximum(np.maximum(la, lb), 1).astype(np.float64))
-            cap_hit = (sim > CAP_SIM_MIN) & (np.abs(la - lb) <= 3)
-            lang_hit = a_lang[pi_a] == b_lang[si_a]
-            from osm_merge_ray.image.phash import hamming64
-
-            ph_hit = hamming64(a_ph[pi_a], b_ph[si_a]) <= 10
-            hits = (cap_hit.astype(np.int64) + lang_hit.astype(np.int64)
-                    + ph_hit.astype(np.int64))
-            order = np.lexsort((b_id[si_a], d2_a, -hits, pi_a))
-            po = pi_a[order]
-            first = np.ones(len(po), dtype=bool)
-            first[1:] = po[1:] != po[:-1]
-            best = order[first]
-            matched[pi_a[best]] = b_id[si_a[best]]
-            hits_out[pi_a[best]] = hits[best]
-            d2_out[pi_a[best]] = d2_a[best]
+        if len(pi):
+            a_ph = simhash(a["text"].tolist(), n_bits=40, hasher=poly41_str)
+            b_ph = simhash(b["text"].tolist(), n_bits=40, hasher=poly41_str)
+            ph_hit = hamming64(a_ph[pi], b_ph[si]) <= 10
+            hits = _caption_lang_hits(a, b, pi, si) + ph_hit.astype(np.int64)
+            order = np.lexsort((b_id[si], d2, -hits, pi))
+            best = order[first_in_groups(pi[order])]
+            matched[pi[best]] = b_id[si[best]]
+            hits_out[pi[best]] = hits[best]
+            d2_out[pi[best]] = d2[best]
         decision = np.where(
             matched < 0, "new",
             np.where((hits_out >= 2) & (d2_out <= DUP_D2), "duplicate", "merged"),
@@ -598,7 +498,7 @@ def spatial_conflate_flagship(sf_dir: str):
             "d2": d2_out,
         })
 
-    return _spatial_join_pipeline(sf_dir, ["text", "lang"], per_bucket)
+    return _on_spine(sf_dir, per_bucket, ["text", "lang"])
 
 
 _SIMHASH40 = f"""
@@ -797,42 +697,24 @@ def spatial_polygon_overlap(sf_dir: str):
     min/max arithmetic → bit-identical areas vs the oracle."""
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 0]
-        b = df[df["side"] == 1]
-
-        def rects(sub):
-            i = sub["doc_id"].to_numpy().astype(np.int64)
-            h3 = ((i + 77) * HASH_A) % np.int64(MOD)
-            h4 = ((i + 777) * HASH_A) % np.int64(MOD)
-            wx = 0.02 + h3.astype(np.float64) / MOD * 0.1
-            wy = 0.02 + h4.astype(np.float64) / MOD * 0.1
-            lon = sub["lon"].to_numpy()
-            lat = sub["lat"].to_numpy()
-            return lon - wx, lat - wy, lon + wx, lat + wy
-
-        ax0, ay0, ax1, ay1 = rects(a)
-        bx0, by0, bx1, by1 = rects(b)
-        a_id = a["doc_id"].to_numpy()
-        b_id = b["doc_id"].to_numpy()
+        a, b = df[df["side"] == 0], df[df["side"] == 1]
+        ax0, ay0, ax1, ay1 = (a[k].to_numpy() for k in ("x0", "y0", "x1", "y1"))
+        bx0, by0, bx1, by1 = (b[k].to_numpy() for k in ("x0", "y0", "x1", "y1"))
         ia, ib, areas = [], [], []
-
-        def emit(ai, bi):
+        for ai, bi in _group_blocks(a, b):
             ox = np.minimum(ax1[ai][:, None], bx1[bi][None, :]) - np.maximum(ax0[ai][:, None], bx0[bi][None, :])
             oy = np.minimum(ay1[ai][:, None], by1[bi][None, :]) - np.maximum(ay0[ai][:, None], by0[bi][None, :])
-            hit = (ox > 0.0) & (oy > 0.0)
-            rr, cc = np.nonzero(hit)
-            ia.extend(a_id[ai][rr].tolist())
-            ib.extend(b_id[bi][cc].tolist())
-            areas.extend((ox[rr, cc] * oy[rr, cc]).tolist())
-
-        _pair_groups(a, b, emit)
+            rr, cc = np.nonzero((ox > 0.0) & (oy > 0.0))
+            ia.append(ai[rr])
+            ib.append(bi[cc])
+            areas.append(ox[rr, cc] * oy[rr, cc])
         return pd.DataFrame({
-            "id_a": pd.array(ia, dtype=np.int64),
-            "id_b": pd.array(ib, dtype=np.int64),
-            "overlap_area": pd.array(areas, dtype=np.float64),
+            "id_a": a["doc_id"].to_numpy()[_cat(ia, np.int64)],
+            "id_b": b["doc_id"].to_numpy()[_cat(ib, np.int64)],
+            "overlap_area": _cat(areas, np.float64),
         })
 
-    return _spatial_join_pipeline(sf_dir, [], per_bucket)
+    return _on_spine(sf_dir, per_bucket, rects=True)
 
 
 SQL_POLYGON_OVERLAP = f"""
@@ -1547,15 +1429,10 @@ def graph_triangles_q(sf_dir: str, threshold: float = 0.25):
     (graph/triangles.py wedge join) — local clustering evidence that a
     near-dup group is a genuine clique, not a chain of borderline
     pairs. Edge set = SemDeDup pairs at a looser threshold."""
-    import pyarrow.parquet as pq
-
     from osm_merge_ray.graph.triangles import triangle_counts
     from osm_merge_ray.sim.semdedup import semantic_dedup_pairs
 
-    cents = (pq.read_table(f"{sf_dir}/embeddings.parquet",
-                           columns=["vec_id", "embedding"])
-             .to_pandas().sort_values("vec_id").head(8))
-    cm = np.vstack([np.asarray(v, dtype=np.float64) for v in cents["embedding"]])
+    cm, _ = _load_queries(sf_dir, 8)
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     edges = semantic_dedup_pairs(ds, cm, threshold=threshold)
     return triangle_counts(edges)
@@ -2397,15 +2274,10 @@ def knn_ivf_q(sf_dir: str, k: int = 5):
     are exact int64 arithmetic a DuckDB twin reproduces; ranking is the
     round-6 cosine. The trained `ivf_topk` (distributed Lloyd) stays
     the production path, recall-verified in pytest."""
-    import pyarrow.parquet as pq
-
     from osm_merge_ray.sim.knn import ivf_fixed_topk
 
     qm, qids = _load_queries(sf_dir)
-    cents = (pq.read_table(f"{sf_dir}/embeddings.parquet",
-                           columns=["vec_id", "embedding"])
-             .to_pandas().sort_values("vec_id").head(8))
-    cm = np.vstack([np.asarray(v, dtype=np.float64) for v in cents["embedding"]])
+    cm, _ = _load_queries(sf_dir, 8)
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = ivf_fixed_topk(ds, qm, qids, cm, k=k, nprobe=3)
     return out.select_columns(["query_id", "neighbor_id", "sim", "rank"])
@@ -2467,14 +2339,9 @@ def dedup_semantic_q(sf_dir: str, threshold: float = 0.35):
     assignment is exact int64 arithmetic; round-6 cosine ranking —
     both under the bit-exact gate. Production centroids come from
     sim/knn.train_centroids_distributed instead."""
-    import pyarrow.parquet as pq
-
     from osm_merge_ray.sim.semdedup import semantic_dedup_pairs
 
-    cents = (pq.read_table(f"{sf_dir}/embeddings.parquet",
-                           columns=["vec_id", "embedding"])
-             .to_pandas().sort_values("vec_id").head(8))
-    cm = np.vstack([np.asarray(v, dtype=np.float64) for v in cents["embedding"]])
+    cm, _ = _load_queries(sf_dir, 8)
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = semantic_dedup_pairs(ds, cm, threshold=threshold)
     return out.select_columns(["cid", "id_a", "id_b", "sim"])

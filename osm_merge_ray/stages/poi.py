@@ -57,12 +57,6 @@ def _poi_prepare(t: pa.Table, cfg: ConflationConfig, side: int) -> pa.Table:
         "props_json": t.column("props_json"),
         "lon": pa.array(lon, pa.float64()),
         "lat": pa.array(lat, pa.float64()),
-        # distance is centroid-to-centroid here, so the partition bbox
-        # is the centroid point (reach 0, band = tolerance alone)
-        "x0": pa.array(lon, pa.float64()),
-        "y0": pa.array(lat, pa.float64()),
-        "x1": pa.array(lon, pa.float64()),
-        "y1": pa.array(lat, pa.float64()),
         "cell": pa.array(cell, pa.int64()),
         "is_node": pa.array(is_node),
         "side": pa.array(np.full(len(coords), side, dtype=np.int8), pa.int8()),

@@ -211,3 +211,16 @@ def test_lineage_path_unifies_remote_scheme_and_local_symlinks(tmp_path):
     local = [_lineage_path(str(link), remote=False),
              _lineage_path("file://" + str(target), remote=False)]
     assert local == [os.path.realpath(target)] * 2
+
+
+def test_langid_null_text_predicts_und():
+    """A null text is a row without markers, not a crash in the
+    per-row token-count repeat."""
+    import pandas as pd
+
+    from osm_merge_ray.text.analysis import LangId
+
+    df = pd.DataFrame({"doc_id": [1, 2, 3],
+                       "text": ["the cat is on the mat", None,
+                                "el gato de la casa"]})
+    assert LangId()(df)["lang_pred"].tolist() == ["en", "und", "es"]

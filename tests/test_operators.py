@@ -362,8 +362,8 @@ def test_langid_and_fingerprint_deterministic():
 
 PARITY_QUERIES = [
     "spatial_cell_index", "spatial_distance_join", "spatial_knn_join",
-    "spatial_conflate", "spatial_tile_assign", "spatial_point_in_polygon",
-    "spatial_polygon_overlap",
+    "spatial_conflate", "spatial_conflate_cascade", "spatial_conflate_flagship",
+    "spatial_tile_assign", "spatial_point_in_polygon", "spatial_polygon_overlap",
     "dedup_exact", "dedup_ngram_jaccard", "dedup_winnow", "dedup_embedding_cosine",
     "dedup_representatives", "dedup_semantic", "dedup_incremental",
     "graph_pagerank", "graph_triangles", "curate_corpus",
@@ -404,6 +404,36 @@ def test_sql_oracle_parity(ray_session, name):
     res = QUERIES[name](SF)
     got = res if isinstance(res, pd.DataFrame) else res.to_pandas()
     exp = con.execute(ORACLE_SQL[name]).df()
+    pd.testing.assert_frame_equal(_canon(got), _canon(exp), check_dtype=False,
+                                  check_exact=True)
+
+
+SPINE_TWINS = [
+    "spatial_distance_join", "spatial_sample_join", "spatial_knn_join",
+    "spatial_conflate", "spatial_conflate_cascade", "spatial_conflate_flagship",
+    "spatial_polygon_overlap",
+]
+
+
+@pytest.mark.parametrize("name", SPINE_TWINS)
+def test_spine_twin_parity_under_forced_salting(ray_session, monkeypatch, name):
+    """With a tiny hot-cell threshold the spine salts the twins' hot
+    cells; the candidate pairs, and so the DuckDB parity, must not move."""
+    import dataclasses
+
+    import duckdb
+
+    from osm_merge_ray.pipelines import queries as Q
+    from osm_merge_ray.stages.partition import plan_salts
+
+    cfg = dataclasses.replace(Q.SPATIAL_CFG, hot_cell_rows=2)
+    monkeypatch.setattr(Q, "SPATIAL_CFG", cfg)
+    salts = plan_salts(Q._spatial_light(SF).materialize(), cfg)
+    assert salts and max(salts.values()) > 1
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')")
+    got = Q.QUERIES[name](SF).to_pandas()
+    exp = con.execute(Q.ORACLE_SQL[name]).df()
     pd.testing.assert_frame_equal(_canon(got), _canon(exp), check_dtype=False,
                                   check_exact=True)
 
