@@ -23,10 +23,20 @@ from __future__ import annotations
 import numpy as np
 
 #: max parts one polyline may split into — beyond this the splitter
-#: RAISES (same philosophy as polygons.MAX_SPLIT_PIECES); below it the
-#: cut parameter t >= span/L1 >= 1/MAX_SPLIT_PARTS > the 1e-9 progress
-#: epsilon, so the cut loop provably terminates
+#: RAISES (same philosophy as polygons.MAX_SPLIT_PIECES). The same cap
+#: bounds the longest single segment at MAX_SPLIT_PARTS spans per axis,
+#: so a fresh part's cut parameter t >= 1/MAX_SPLIT_PARTS > the 1e-9
+#: progress epsilon and the cut loop provably terminates
 MAX_SPLIT_PARTS = 4096
+
+
+def _check_parts(n: float, max_span_deg: float) -> None:
+    if n > MAX_SPLIT_PARTS:
+        raise ValueError(
+            f"split_long_line: polyline needs > {MAX_SPLIT_PARTS} parts "
+            f"(~{n:.0f}) at span {max_span_deg:.4f} deg — likely a corrupt "
+            "coordinate or a too-fine cell_res; raise-not-hang (the pre-r5 "
+            "cover contract)")
 
 
 def split_long_line(coords: np.ndarray,
@@ -52,15 +62,10 @@ def split_long_line(coords: np.ndarray,
     # part-count cap (review r5, mirrors polygons.MAX_SPLIT_PIECES): a
     # corrupt coordinate (e.g. a 4e8-degree jump) would otherwise emit
     # millions of parts — or, past float resolution, spin the cut loop
-    # forever. Parts needed >= L1 path length / span.
-    est_parts = float((np.abs(np.diff(x)).sum()
-                       + np.abs(np.diff(y)).sum()) / max_span_deg)
-    if est_parts > MAX_SPLIT_PARTS:
-        raise ValueError(
-            f"split_long_line: polyline needs ~{est_parts:.0f} parts "
-            f"(> {MAX_SPLIT_PARTS}) at span {max_span_deg:.4f} deg — "
-            "likely a corrupt coordinate or a too-fine cell_res; "
-            "raise-not-hang (the pre-r5 cover contract)")
+    # forever. One segment alone needs >= its longest axis / span parts;
+    # the loop counts the rest as it emits them.
+    seg = float(np.maximum(np.abs(np.diff(x)), np.abs(np.diff(y))).max())
+    _check_parts(seg / max_span_deg, max_span_deg)
 
     parts: list[np.ndarray] = []
     cur: list[list[float]] = [[float(x[0]), float(y[0])]]
@@ -70,6 +75,7 @@ def split_long_line(coords: np.ndarray,
     i = 1
     n = len(coords)
     while i < n:
+        _check_parts(len(parts), max_span_deg)
         vx, vy = float(x[i]), float(y[i])
         nminx, nmaxx = min(minx, vx), max(maxx, vx)
         nminy, nmaxy = min(miny, vy), max(maxy, vy)
@@ -116,4 +122,5 @@ def split_long_line(coords: np.ndarray,
         px, py = cx, cy
     if len(cur) >= 2:
         parts.append(np.asarray(cur, dtype=np.float64))
+    _check_parts(len(parts), max_span_deg)
     return parts

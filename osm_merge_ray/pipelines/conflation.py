@@ -47,8 +47,8 @@ def flagship(n_per_side: int = 1000, cfg: ConflationConfig | None = None,
         union = union.map_batches(DecodeVerify, batch_format="pyarrow",
                                   batch_size=256,
                                   concurrency=(1, max(4, os.cpu_count() or 8)))
-    decisions = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
-                                lambda df: CF.match_bucket(df, cfg))
+    decisions, _ = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
+                                   lambda df: CF.match_bucket(df, cfg))
     return assign_tiles(decisions, default_grid(cfg))
 
 
@@ -101,8 +101,8 @@ def conflate_parquet(primary_path: str, secondary_path: str,
     union = CF.tag_side(read_side(primary_path), 0).union(
         CF.tag_side(read_side(secondary_path), 1)
     )
-    decisions = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
-                                lambda df: CF.match_bucket(df, cfg))
+    decisions, _ = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
+                                   lambda df: CF.match_bucket(df, cfg))
     out = assign_tiles(decisions, default_grid(cfg))
     if out_dir is not None:
         out.write_parquet(out_dir)
@@ -179,16 +179,6 @@ def run_checkpointed(primary_ds, secondary_ds, out_dir: str,
 
     cfg = cfg or ConflationConfig()
     done = CK.finished_buckets(out_dir) if resume else set()
-    if fragment_map is not None:
-        # run-level frag-id → input-file map (resolves the per-bucket
-        # input_fragments lineage recorded below)
-        os.makedirs(CK.manifest_dir(out_dir), exist_ok=True)
-        fp = os.path.join(CK.manifest_dir(out_dir), "fragments.json")
-        tmp = fp + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({str(k): v for k, v in fragment_map.items()}, fh)
-        os.replace(tmp, fp)
-
     assign = make_assign_tiles(default_grid(cfg))
 
     def match_and_write(df: pd.DataFrame) -> pd.DataFrame:
@@ -204,14 +194,20 @@ def run_checkpointed(primary_ds, secondary_ds, out_dir: str,
         )
         return pd.DataFrame({"bucket": [bucket], "rows": [table.num_rows]})
 
-    def check_manifest(light) -> None:
-        # refuse resume under a changed config, partition scheme or input
-        CK.check_run_manifest(out_dir, cfg, input_rows=light.count())
-
     union = CF.tag_side(primary_ds, 0).union(CF.tag_side(secondary_ds, 1))
-    metrics, _ = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
-                                 match_and_write, light_probe=check_manifest,
-                                 skip_buckets=done)
+    metrics, plan = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
+                                    match_and_write, skip_buckets=done)
+    # refuse resume under a changed config, partition scheme or input —
+    # before the lazy exchange runs, so a refused run writes nothing
+    CK.check_run_manifest(out_dir, cfg, input_rows=plan.rows)
+    if fragment_map is not None:
+        # run-level frag-id → input-file map (resolves the per-bucket
+        # input_fragments lineage the sink records)
+        fp = os.path.join(CK.manifest_dir(out_dir), "fragments.json")
+        tmp = fp + ".tmp"
+        with open(tmp, "w") as fh:
+            json.dump({str(k): v for k, v in fragment_map.items()}, fh)
+        os.replace(tmp, fp)
     rows = metrics.to_pandas()
     return {
         "buckets_done_now": len(rows),

@@ -148,8 +148,9 @@ def _on_spine(sf_dir: str, sink, extra_cols=(), rects: bool = False):
     light rows; points band at BAND_M, rectangles at their max reach."""
     from osm_merge_ray.stages.partition import shuffle_match
 
-    return shuffle_match(_spatial_light(sf_dir, extra_cols, rects), SPATIAL_CFG,
-                         0.0 if rects else BAND_M, sink)
+    out, _ = shuffle_match(_spatial_light(sf_dir, extra_cols, rects), SPATIAL_CFG,
+                           0.0 if rects else BAND_M, sink)
+    return out
 
 
 def _group_blocks(a: pd.DataFrame, b: pd.DataFrame):

@@ -283,5 +283,6 @@ def conflate_datasets(primary_ds, secondary_ds, cfg: ConflationConfig | None = N
     """
     cfg = cfg or ConflationConfig()
     union = tag_side(primary_ds, 0).union(tag_side(secondary_ds, 1))
-    return shuffle_match(light_rows(union, cfg), cfg, cfg.distance_m,
-                         lambda df: match_bucket(df, cfg))
+    out, _ = shuffle_match(light_rows(union, cfg), cfg, cfg.distance_m,
+                           lambda df: match_bucket(df, cfg))
+    return out

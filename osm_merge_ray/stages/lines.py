@@ -183,11 +183,8 @@ def conflate_lines(primary_ds, secondary_ds, cfg: ConflationConfig | None = None
     def match(df: pd.DataFrame) -> pd.DataFrame:
         return match_lines_group(df, cfg)
 
-    # probe runs over shuffle_match's own materialized union: both
-    # sides streamed exactly once, no extra barrier (r3 perf fix)
-    out, has_parts = P.shuffle_match(p.union(s), cfg, cfg.distance_m, match,
-                                     light_probe=P.has_split_parts)
-    if has_parts:
+    out, plan = P.shuffle_match(p.union(s), cfg, cfg.distance_m, match)
+    if plan.split_parts:
         # a split primary produced one decision row per part (parts land
         # in different cells); keep the best per feature — matched
         # decisions beat "new", then hits desc, dist asc, matched_id asc

@@ -166,8 +166,7 @@ def polygon_overlap_pairs(primary_ds, secondary_ds, cfg: ConflationConfig | None
     # group (the piece centroid keys the primary side), so partials for
     # one (id_a, id_b) are distinct piece pairs — summing them gives the
     # exact whole-polygon intersection area (pieces partition the rings)
-    out, has_parts = P.shuffle_match(p.union(s), cfg, 0.0, match,
-                                     light_probe=P.has_split_parts)
+    out, plan = P.shuffle_match(p.union(s), cfg, 0.0, match)
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         # sort partials before the float sum: block-arrival order is
@@ -184,7 +183,7 @@ def polygon_overlap_pairs(primary_ds, secondary_ds, cfg: ConflationConfig | None
                              > min_area_ratio)
         return g.loc[keep, ["id_a", "id_b", "overlap_area"]]
 
-    if has_parts:
+    if plan.split_parts:
         from osm_merge_ray.ops import grouped_reduce
 
         return grouped_reduce(out, ["id_a", "id_b"], finalize,

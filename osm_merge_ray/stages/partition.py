@@ -6,8 +6,10 @@ Every conflation join in the engine (point image rows in
 
 1. the caller's light rows (one side-tagged union, ~100 B/row) are
    materialized once;
-2. ``plan_salts`` counts rows per base cell (distributed, pre-aggregated)
-   and returns only the hot cells with their salt fan-out;
+2. ONE planning pass, ``plan_partition``: a single ``grouped_reduce``
+   over per-batch partials returns the hot cells with their salt
+   fan-out, the primary max reach, the split-part flag and the row
+   count (``Plan``);
 3. ``make_tag_primary`` keeps each primary in ONE (cell, salt) group: its
    centroid cell, re-keyed at ``fine_res_of`` and salted by id hash when
    that base cell is hot;
@@ -21,7 +23,7 @@ Every conflation join in the engine (point image rows in
 
 Point rows are the zero-extent case: without bbox columns the box is the
 centroid (x0 = x1 = lon, y0 = y1 = lat), the primary reach is 0 and the
-band is the match distance, so points gain no columns and no extra pass.
+band is the match distance, so points gain no columns and no schema branch.
 
 The rules shared by all geometry types:
 
@@ -46,10 +48,13 @@ scored at most once globally, no cross-bucket combine needed.
 Light-row contract: ``lon, lat`` (centroid), ``cell:int64`` (centroid
 cell at ``cfg.cell_res``), ``side:int8`` (0 primary, 1 secondary), one id
 column (``feature_id:int64`` or ``image_id:string``) and, for extended
-geometry, ``x0, y0, x1, y1`` (bbox, degrees).
+geometry, ``x0, y0, x1, y1`` (bbox, degrees) and, where features may be
+split, ``part_json`` (non-empty on split parts).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -79,20 +84,6 @@ def split_span_limit(cfg: ConflationConfig) -> float:
     the line splitter (stages/lines.py) and the polygon splitter
     (stages/overlap.py) — retune it HERE, not per geometry type."""
     return 0.5 * AXIS_CAP * C.cell_edge_deg(cfg.cell_res)
-
-
-def has_split_parts(light) -> bool:
-    """True iff any prepared light row is a split part (``part_json``
-    non-empty). Run it over ``shuffle_match``'s already-materialized
-    union (its ``light_probe`` hook) — zero extra passes over lazy
-    inputs."""
-    def count_parts(t: pa.Table) -> pa.Table:
-        k = int(pc.sum(pc.cast(pc.not_equal(t.column("part_json"), ""),
-                               pa.int64())).as_py() or 0)
-        return pa.table({"k": pa.array([k], pa.int64())})
-
-    return int(light.map_batches(count_parts, batch_format="pyarrow")
-               .to_pandas()["k"].sum()) > 0
 
 
 def fine_res_of(cfg: ConflationConfig) -> int:
@@ -161,24 +152,19 @@ def reach_m(lon, lat, x0, y0, x1, y1) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def max_primary_reach_m(light_ds) -> float:
-    """Distributed max of the primary-side reach (one tiny aggregate;
-    the only driver-side value this machinery needs besides hot cells)."""
-    def partial(t: pa.Table) -> pa.Table:
-        m = t.filter(pc.equal(t.column("side"), 0))
-        if m.num_rows == 0:
-            return pa.table({"m": pa.array([0.0], pa.float64())})
-        r = reach_m(m.column("lon").to_numpy(), m.column("lat").to_numpy(),
-                    m.column("x0").to_numpy(), m.column("y0").to_numpy(),
-                    m.column("x1").to_numpy(), m.column("y1").to_numpy())
-        return pa.table({"m": pa.array([float(r.max())], pa.float64())})
-
-    out = light_ds.map_batches(partial, batch_format="pyarrow").max("m")
-    return float(out or 0.0)
+class Plan(NamedTuple):
+    """The global facts the exchange needs, from one pass over the light
+    rows."""
+    salts: dict[int, int]  # hot base cell -> salt fan-out
+    reach_m: float  # max primary centroid->bbox-corner distance
+    split_parts: bool  # does any row carry a non-empty ``part_json``?
+    rows: int  # light rows, both sides
 
 
-def plan_salts(light_ds, cfg: ConflationConfig) -> dict[int, int]:
-    """Distributed per-cell row count → {hot_cell_id: n_salts}.
+def plan_partition(light_ds, cfg: ConflationConfig) -> Plan:
+    """One distributed pass → ``Plan``: per-cell row counts (only hot
+    cells reach the driver) plus the primary max reach, the split-part
+    flag and the row count.
 
     Rows whose base cell is hot are re-keyed at ``fine_res_of(cfg)``
     (edge still >= distance_m, so band completeness holds), which REDUCES
@@ -186,34 +172,58 @@ def plan_salts(light_ds, cfg: ConflationConfig) -> dict[int, int]:
     returned here bounds the worst case of truly co-located rows that
     still land in one fine cell.
 
-    Pre-aggregates inside ``map_batches`` (one partial row per distinct
-    cell per batch) before the small reduce — the driver only ever
-    receives cells whose total exceeds ``hot_cell_rows``.
+    Pre-aggregates inside ``map_batches``: one partial row per distinct
+    cell per batch, plus one summary row keyed ``cell = -1`` (real cell
+    ids are >= 0) with the batch's row count, max primary reach and
+    split-part count. Point rows are zero-extent boxes (reach 0).
     """
     from osm_merge_ray.ops import grouped_reduce
 
     def partial_counts(t: pa.Table) -> pa.Table:
-        cell = t.column("cell").to_numpy()
-        u, c = np.unique(cell, return_counts=True)
-        return pa.table({"cell": pa.array(u, pa.int64()), "n": pa.array(c, pa.int64())})
+        u, c = np.unique(t.column("cell").to_numpy(), return_counts=True)
+        prim = t.column("side").to_numpy() == 0
+        lon, lat = t.column("lon").to_numpy()[prim], t.column("lat").to_numpy()[prim]
+        r = reach_m(lon, lat, *(a[prim] for a in _box(t)))
+        # fmax skips NaN: a row without coordinates must not poison the band
+        reach = float(np.fmax.reduce(r, initial=0.0))
+        parts = (int(pc.sum(pc.not_equal(t.column("part_json"), "")).as_py() or 0)
+                 if "part_json" in t.column_names else 0)
+        zero = np.zeros(len(u))
+        return pa.table({
+            "cell": pa.array(np.append(u, -1), pa.int64()),
+            "n": pa.array(np.append(c, t.num_rows), pa.int64()),
+            "reach": pa.array(np.append(zero, reach), pa.float64()),
+            "parts": pa.array(np.append(zero, parts).astype(np.int64), pa.int64()),
+        })
 
-    def hot_only(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("cell", as_index=False)["n"].sum()
-        g = g[g["n"] > cfg.hot_cell_rows]
-        return g.rename(columns={"n": "total"})
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        u, inv = np.unique(df["cell"].to_numpy(), return_inverse=True)
+        out = {"cell": u}
+        for k, op in (("n", np.add), ("reach", np.maximum), ("parts", np.add)):
+            out[k] = np.zeros(len(u), dtype=df[k].dtype)
+            op.at(out[k], inv, df[k].to_numpy())
+        keep = (out["n"] > cfg.hot_cell_rows) | (u == -1)
+        return pd.DataFrame({k: v[keep] for k, v in out.items()})
 
     # hash-bucketed combine, NOT the native sort-based groupby: at the
     # default res-15 grid the union has ~10^5+ distinct cells and Ray's
     # sort aggregate pays its per-distinct-group cliff (measured 3.0 s
     # of a 10.7 s flagship run at 100k/side; grouped_reduce: ~0.5 s).
-    hot = grouped_reduce(
+    out = grouped_reduce(
         light_ds.map_batches(partial_counts, batch_format="pyarrow"),
-        ["cell"], hot_only, num_buckets=cfg.num_buckets).take_all()
+        ["cell"], combine, num_buckets=cfg.num_buckets).take_all()
     # n_salts sized for the expected occupancy of one FINE cell: the
     # refinement spreads the count over ~4^(fine-base) children, so a
     # small salt count suffices as the co-location backstop
-    return {int(r["cell"]): int(min(8, max(1, -(-r["total"] // (cfg.hot_cell_rows * 4)))))
-            for r in hot}
+    salts = {int(r["cell"]): int(min(8, max(1, -(-r["n"] // (cfg.hot_cell_rows * 4)))))
+             for r in out if r["cell"] >= 0}
+    s = next((r for r in out if r["cell"] < 0), {"reach": 0.0, "parts": 0, "n": 0})
+    return Plan(salts, float(s["reach"]), int(s["parts"]) > 0, int(s["n"]))
+
+
+def plan_salts(light_ds, cfg: ConflationConfig) -> dict[int, int]:
+    """{hot_cell_id: n_salts} of ``plan_partition``."""
+    return plan_partition(light_ds, cfg).salts
 
 
 def _with_bucket(t: pa.Table, cfg: ConflationConfig) -> pa.Table:
@@ -431,11 +441,10 @@ def local_refined_pairs(kp: np.ndarray, ks: np.ndarray,
 
 
 def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
-                  match_fn, light_probe=None, skip_buckets=()):
+                  match_fn, skip_buckets=()):
     """The one-shuffle spine over a side-tagged union of LIGHT rows
-    (~100 B/row): materialize → (primary max reach when rows carry a
-    bbox) + hot-cell plan → tag/replicate → bucket groupby → ``match_fn``
-    per bucket.
+    (~100 B/row): materialize → one planning pass (``plan_partition``)
+    → tag/replicate → bucket groupby → ``match_fn`` per bucket.
 
     ``match_fn(df)`` is the per-bucket sink: it sees the light rows of
     one bucket with ``cell``, ``salt`` and ``bucket`` columns, must join
@@ -444,28 +453,21 @@ def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
     output). ``band_extra_m`` is the match distance (0 for pure-overlap
     joins); the primary max reach is added automatically.
 
-    ``light_probe(light_ds)``, when given, runs over the ALREADY
-    materialized union (zero extra passes over lazy inputs, no pipeline
-    barrier beyond the one this function always has) and the call
-    returns ``(decisions_ds, probe_result)`` — callers that need a
-    global predicate of the prepared rows (e.g. "any antimeridian split
-    part present?") hook it here instead of materializing their input a
-    second time.
+    Returns ``(decisions_ds, plan)``: the lazy exchange and the ``Plan``
+    already computed over the materialized union, so callers read global
+    facts of the prepared rows (split parts, row count) without another
+    pass and before anything downstream runs.
 
     Rows of ``skip_buckets`` (finished checkpoint buckets) are dropped
     before the exchange, so they are never shipped or rescored.
     """
     light = light.materialize()
-    probe = light_probe(light) if light_probe is not None else None
-    band = band_extra_m
-    schema = light.schema()
-    if schema is not None and "x0" in schema.names:
-        band += max_primary_reach_m(light)
-    salts = plan_salts(light, cfg)
-    p = light.map_batches(make_tag_primary(cfg, salts), batch_format="pyarrow",
+    plan = plan_partition(light, cfg)
+    p = light.map_batches(make_tag_primary(cfg, plan.salts), batch_format="pyarrow",
                           batch_size=cfg.batch_size)
-    s = light.map_batches(make_replicate_secondary(cfg, salts, band),
-                          batch_format="pyarrow", batch_size=cfg.batch_size)
+    s = light.map_batches(
+        make_replicate_secondary(cfg, plan.salts, band_extra_m + plan.reach_m),
+        batch_format="pyarrow", batch_size=cfg.batch_size)
     both = p.union(s)
     if skip_buckets:
         done = np.array(sorted(skip_buckets), dtype=np.int64)
@@ -475,4 +477,4 @@ def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
 
         both = both.map_batches(drop_done, batch_format="pyarrow")
     out = both.groupby("bucket").map_groups(match_fn, batch_format="pandas")
-    return (out, probe) if light_probe is not None else out
+    return out, plan

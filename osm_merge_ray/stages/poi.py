@@ -276,5 +276,5 @@ def conflate_pois(poi_ds, osm_ds, cfg: ConflationConfig | None = None,
             "merged_json": pd.array(merged, dtype="string"),
         })
 
-    spatial = P.shuffle_match(p.union(s), cfg, tolerance_m, match)
+    spatial, _ = P.shuffle_match(p.union(s), cfg, tolerance_m, match)
     return spatial.union(direct) if direct is not None else spatial

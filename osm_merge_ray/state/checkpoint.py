@@ -113,9 +113,14 @@ def write_bucket_partition(out_dir: str, bucket: int, table: pa.Table,
     tmp_dir = part_dir + ".tmp"
     os.makedirs(tmp_dir, exist_ok=True)
     pq.write_table(table, os.path.join(tmp_dir, "part-0.parquet"))
+    dst = os.path.join(manifest_dir(out_dir), f"bucket={bucket}.json")
     if os.path.isdir(part_dir):  # stale partial from a killed run
         import shutil
 
+        # un-finish the bucket first: a kill between the rmtree and the
+        # rename must leave it to be rescored, not "done" with no rows
+        if os.path.exists(dst):
+            os.remove(dst)
         shutil.rmtree(part_dir)
     os.rename(tmp_dir, part_dir)
     os.makedirs(manifest_dir(out_dir), exist_ok=True)
@@ -132,7 +137,6 @@ def write_bucket_partition(out_dir: str, bucket: int, table: pa.Table,
     if frags is not None:
         rec["input_fragments"] = sorted(int(f) for f in frags)
     tmp = os.path.join(manifest_dir(out_dir), f".bucket={bucket}.json.tmp")
-    dst = os.path.join(manifest_dir(out_dir), f"bucket={bucket}.json")
     with open(tmp, "w") as fh:
         json.dump(rec, fh)
     os.replace(tmp, dst)

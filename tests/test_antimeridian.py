@@ -352,6 +352,30 @@ def test_split_long_line_properties_random():
                                                           rel=1e-9)
 
 
+def test_split_long_line_dense_zigzag_splits_into_few_parts():
+    """A dense zigzag whose path length is thousands of spans but whose
+    bbox is 1.5 x 0.5 spans needs only a few parts; the part-count cap
+    counts emitted parts instead of estimating them from path length."""
+    from osm_merge_ray.geo.split import split_long_line
+
+    span = 0.35
+    n = 10_000
+    coords = np.column_stack([np.linspace(0.0, 1.5 * span, n),
+                              np.where(np.arange(n) % 2 == 0, 0.0, 0.5 * span)])
+    parts = split_long_line(coords, span)
+    assert 2 <= len(parts) <= 4
+    for p in parts:
+        assert p[:, 0].max() - p[:, 0].min() <= span + 1e-9
+        assert p[:, 1].max() - p[:, 1].min() <= span + 1e-9
+    # the parts' points are the original vertices, in order, plus the
+    # collinear cut points each part boundary adds
+    chain = np.vstack([parts[0]] + [p[1:] for p in parts[1:]])
+    orig = {tuple(v) for v in coords}
+    is_orig = np.array([tuple(v) in orig for v in chain])
+    assert np.array_equal(chain[is_orig], coords)
+    assert (~is_orig).sum() <= len(parts) - 1
+
+
 def test_split_long_line_corrupt_span_raises():
     """r5 review: absurd spans RAISE (part-count cap) instead of
     hanging the cut loop or emitting millions of parts."""

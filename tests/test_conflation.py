@@ -156,9 +156,40 @@ def test_checkpoint_refuses_changed_config(ray_session, sides, tmp_path):
     d = str(tmp_path / "ckpt")
     run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d,
                      ConflationConfig(cell_res=15, num_buckets=16, hot_cell_rows=200))
+
+    def snapshot():
+        return {os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
+                for r, _, fs in os.walk(d) for f in fs}
+
+    before = snapshot()
     with pytest.raises(ValueError, match="different"):
         run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d,
                          ConflationConfig(cell_res=15, num_buckets=8, hot_cell_rows=200))
+    # refused before the exchange: not one file written, replaced or removed
+    assert snapshot() == before
+
+
+def test_bucket_rewrite_unfinishes_bucket_before_removing_rows(tmp_path, monkeypatch):
+    """Rewriting a finished bucket (a retried task) removes its old rows
+    before the new ones are renamed in; a kill in between must leave the
+    bucket unfinished, so a resume rescores it instead of skipping it."""
+    import pyarrow as pa
+
+    d = str(tmp_path / "ckpt")
+    t = pa.table({"x": [1, 2]})
+    CK.write_bucket_partition(d, 3, t, input_rows=2, wall_s=0.0, cells=[7])
+    assert CK.finished_buckets(d) == {3}
+    real_rename = os.rename
+
+    def killed(src, dst):
+        if dst.endswith("bucket=3"):
+            raise OSError("killed")
+        real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", killed)
+    with pytest.raises(OSError, match="killed"):
+        CK.write_bucket_partition(d, 3, t, input_rows=2, wall_s=0.0, cells=[7])
+    assert 3 not in CK.finished_buckets(d)
 
 
 def test_checkpoint_refuses_older_partition_scheme(ray_session, sides, tmp_path,

@@ -309,3 +309,75 @@ def test_douglas_peucker_properties(ray_session):
                          "coords_json": json.dumps(line.tolist())}])
     got = simplify_lines(ds, tolerance_m=1.0).to_pandas()
     assert got.iloc[0]["n_points_in"] == 50 and got.iloc[0]["n_points_out"] == 2
+
+
+def _points_light():
+    from osm_merge_ray.stages import conflate as CF
+    from osm_merge_ray.synth import synth_table
+
+    cfg = ConflationConfig(cell_res=15, num_buckets=8, hot_cell_rows=3)
+    union = CF.tag_side(rd.from_arrow(synth_table(300, "primary", with_bytes=False)), 0
+                        ).union(CF.tag_side(rd.from_arrow(
+                            synth_table(300, "secondary", with_bytes=False)), 1))
+    return CF.light_rows(union, cfg), cfg
+
+
+def _lines_light():
+    import json
+
+    from osm_merge_ray.stages.lines import _line_prepare
+
+    cfg = ConflationConfig(cell_res=12, num_buckets=8, hot_cell_rows=20)
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(160):  # a dense cluster in one res-12 cell, both sides
+        lon, lat = -105.95 + rng.uniform(0, 0.003), 39.05 + rng.uniform(0, 0.003)
+        rows.append({"feature_id": i, "geom_type": "LineString",
+                     "coords_json": json.dumps([[lon + k * 1e-4, lat] for k in range(5)]),
+                     "props_json": "{}"})
+    # an antimeridian crosser: prepared as two split parts
+    rows.append({"feature_id": 999, "geom_type": "LineString",
+                 "coords_json": json.dumps([[179.9, -16.2], [-179.9, -16.1]]),
+                 "props_json": "{}"})
+    t = pa.Table.from_pylist(rows)
+    light = pa.concat_tables([_line_prepare(t.slice(0, 90), cfg, 0),
+                              _line_prepare(t.slice(90), cfg, 1)])
+    return rd.from_arrow(light), cfg
+
+
+def _rects_light():
+    import dataclasses
+
+    from osm_merge_ray.pipelines import queries as Q
+    from tests.test_operators import SF
+
+    return (Q._spatial_light(SF, rects=True),
+            dataclasses.replace(Q.SPATIAL_CFG, hot_cell_rows=2))
+
+
+@pytest.mark.parametrize("make", [_points_light, _lines_light, _rects_light],
+                         ids=["points", "lines", "rects"])
+def test_plan_partition_matches_numpy(ray_session, make):
+    """The one planning pass equals in-process numpy over the same light
+    rows: hot cells and salt counts, primary max reach (0.0 for points),
+    the split-part flag and the row count (run.json's input_rows)."""
+    light, cfg = make()
+    light = light.materialize()
+    plan = P.plan_partition(light, cfg)
+    t = pa.concat_tables(light.iter_batches(batch_format="pyarrow", batch_size=None))
+    u, c = np.unique(t.column("cell").to_numpy(), return_counts=True)
+    hot = c > cfg.hot_cell_rows
+    want = {int(k): int(min(8, max(1, -(-n // (cfg.hot_cell_rows * 4)))))
+            for k, n in zip(u[hot], c[hot])}
+    assert plan.salts == want and want
+    prim = t.column("side").to_numpy() == 0
+    if "x0" in t.column_names:
+        cols = [t.column(k).to_numpy()[prim] for k in ("lon", "lat", "x0", "y0", "x1", "y1")]
+        assert plan.reach_m == P.reach_m(*cols).max() > 0
+    else:
+        assert plan.reach_m == 0.0
+    parts = ("part_json" in t.column_names
+             and bool((t.column("part_json").to_numpy(zero_copy_only=False) != "").any()))
+    assert plan.split_parts == parts
+    assert plan.split_parts == (make is _lines_light)
+    assert plan.rows == light.count() == t.num_rows
