@@ -18,6 +18,7 @@ import pyarrow as pa
 
 from osm_merge_ray.config import ConflationConfig
 from osm_merge_ray.geo import cells as C
+from osm_merge_ray.stages.partition import bucket_pairs, shuffle_match
 
 # ---------------------------------------------------------------------------
 # shared exact-parity constants (mirrored literally in the SQL strings)
@@ -146,52 +147,21 @@ def _spatial_light(sf_dir: str, extra_cols=(), rects: bool = False):
 def _on_spine(sf_dir: str, sink, extra_cols=(), rects: bool = False):
     """Run ``sink`` per bucket of ``partition.shuffle_match`` over the
     light rows; points band at BAND_M, rectangles at their max reach."""
-    from osm_merge_ray.stages.partition import shuffle_match
-
     out, _ = shuffle_match(_spatial_light(sf_dir, extra_cols, rects), SPATIAL_CFG,
                            0.0 if rects else BAND_M, sink)
     return out
-
-
-def _group_blocks(a: pd.DataFrame, b: pd.DataFrame):
-    """Row indices (ai, bi) of every ``group_key(cell, salt)`` group
-    present on both sides of one bucket."""
-    from osm_merge_ray.stages.partition import group_key
-
-    ka = group_key(a["cell"].to_numpy(), a["salt"].to_numpy())
-    kb = group_key(b["cell"].to_numpy(), b["salt"].to_numpy())
-    oa = np.argsort(ka, kind="stable")
-    ob = np.argsort(kb, kind="stable")
-    kas, kbs = ka[oa], kb[ob]
-    keys = np.unique(kas)
-    bounds = zip(np.searchsorted(kas, keys), np.searchsorted(kas, keys, side="right"),
-                 np.searchsorted(kbs, keys), np.searchsorted(kbs, keys, side="right"))
-    for alo, ahi, blo, bhi in bounds:
-        if bhi > blo:
-            yield oa[alo:ahi], ob[blo:bhi]
-
-
-def _cat(parts: list, dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 def _planar_candidates(df: pd.DataFrame):
     """One bucket's primaries ``a``, secondaries ``b`` and every pair
     within the planar DIST_M disc as (a, b, pi, si, d2): pi/si index
     a/b, d2 in the SQL's operand order."""
-    a, b = df[df["side"] == 0], df[df["side"] == 1]
-    a_lon, a_lat = a["lon"].to_numpy(), a["lat"].to_numpy()
-    b_lon, b_lat = b["lon"].to_numpy(), b["lat"].to_numpy()
-    pi, si, d2s = [], [], []
-    for ai, bi in _group_blocks(a, b):
-        dx = (a_lon[ai][:, None] - b_lon[bi][None, :]) * KX
-        dy = (a_lat[ai][:, None] - b_lat[bi][None, :]) * KY
-        d2 = dx * dx + dy * dy
-        rr, cc = np.nonzero(d2 <= D2_MAX)
-        pi.append(ai[rr])
-        si.append(bi[cc])
-        d2s.append(d2[rr, cc])
-    return a, b, _cat(pi, np.int64), _cat(si, np.int64), _cat(d2s, np.float64)
+    a, b, pi, si = bucket_pairs(df, BAND_M)
+    dx = (a["lon"].to_numpy()[pi] - b["lon"].to_numpy()[si]) * KX
+    dy = (a["lat"].to_numpy()[pi] - b["lat"].to_numpy()[si]) * KY
+    d2 = dx * dx + dy * dy
+    near = d2 <= D2_MAX
+    return a, b, pi[near], si[near], d2[near]
 
 
 def _caption_lang_hits(a: pd.DataFrame, b: pd.DataFrame,
@@ -698,21 +668,16 @@ def spatial_polygon_overlap(sf_dir: str):
     min/max arithmetic → bit-identical areas vs the oracle."""
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a, b = df[df["side"] == 0], df[df["side"] == 1]
-        ax0, ay0, ax1, ay1 = (a[k].to_numpy() for k in ("x0", "y0", "x1", "y1"))
-        bx0, by0, bx1, by1 = (b[k].to_numpy() for k in ("x0", "y0", "x1", "y1"))
-        ia, ib, areas = [], [], []
-        for ai, bi in _group_blocks(a, b):
-            ox = np.minimum(ax1[ai][:, None], bx1[bi][None, :]) - np.maximum(ax0[ai][:, None], bx0[bi][None, :])
-            oy = np.minimum(ay1[ai][:, None], by1[bi][None, :]) - np.maximum(ay0[ai][:, None], by0[bi][None, :])
-            rr, cc = np.nonzero((ox > 0.0) & (oy > 0.0))
-            ia.append(ai[rr])
-            ib.append(bi[cc])
-            areas.append(ox[rr, cc] * oy[rr, cc])
+        a, b, pi, si = bucket_pairs(df, 0.0)
+        ax0, ay0, ax1, ay1 = (a[k].to_numpy()[pi] for k in ("x0", "y0", "x1", "y1"))
+        bx0, by0, bx1, by1 = (b[k].to_numpy()[si] for k in ("x0", "y0", "x1", "y1"))
+        ox = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+        oy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+        hit = (ox > 0.0) & (oy > 0.0)
         return pd.DataFrame({
-            "id_a": a["doc_id"].to_numpy()[_cat(ia, np.int64)],
-            "id_b": b["doc_id"].to_numpy()[_cat(ib, np.int64)],
-            "overlap_area": _cat(areas, np.float64),
+            "id_a": a["doc_id"].to_numpy()[pi[hit]],
+            "id_b": b["doc_id"].to_numpy()[si[hit]],
+            "overlap_area": ox[hit] * oy[hit],
         })
 
     return _on_spine(sf_dir, per_bucket, rects=True)
@@ -1754,8 +1719,10 @@ def dedup_embedding_lsh_q(sf_dir: str):
 
     from osm_merge_ray.sim.embed_lsh import embedding_neardup_lsh_int
 
-    dim = len(pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
-              .column("embedding")[0].as_py())
+    # dim from the first row only: one batch of one page, not the column
+    first = next(pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
+                 .iter_batches(batch_size=1, columns=["embedding"]))
+    dim = len(first.column("embedding")[0].as_py())
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     # 8 bands x 8 bits: random (cos~0) pairs collide at ~0.5^8 per band,
     # keeping candidates ~30x below the degenerate 16x4-bit banding;
@@ -2228,9 +2195,14 @@ WHERE CAST(j.inter AS DOUBLE) / (na.ns + nb.ns - j.inter) >= 0.2
 # ---------------------------------------------------------------------------
 
 def _load_queries(sf_dir: str, n: int = 10):
+    """The ``n`` smallest-``vec_id`` embeddings as (matrix, ids): reads
+    the ``vec_id`` column, then only the chosen rows' embeddings."""
     import pyarrow.parquet as pq
 
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    path = f"{sf_dir}/embeddings.parquet"
+    ids = np.sort(pq.read_table(path, columns=["vec_id"]).column("vec_id").to_numpy())[:n]
+    t = pq.read_table(path, columns=["vec_id", "embedding"],
+                      filters=[("vec_id", "in", ids.tolist())])
     df = t.to_pandas().sort_values("vec_id").head(n)
     qm = np.vstack([np.asarray(v, dtype=np.float64) for v in df["embedding"]])
     return qm, df["vec_id"].to_numpy()

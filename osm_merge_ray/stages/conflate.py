@@ -16,10 +16,11 @@ zero-extent boxes; this module holds only what is point-specific:
                     when it lies within ``distance_m`` of it, so
                     cell-edge matches are never missed,
                     docs/calculations.md:120-127), ONE bucket shuffle.
-3. ``match_bucket`` the per-bucket sink: re-groups by exact (cell, salt)
-                    and scores candidates fully vectorized (numpy
-                    distance cross-products, batched DP caption ratios,
-                    SWAR phash hamming).
+3. ``match_bucket`` the per-bucket sink: takes its candidate pairs from
+                    the spine's ``bucket_pairs`` (exact (cell, salt)
+                    groups, dense sub-cell clusters refined in memory)
+                    and scores them fully vectorized (haversine gate,
+                    batched DP caption ratios, SWAR phash hamming).
 
 ``plan_salts``, ``make_tag_primary`` and ``make_replicate_secondary``
 are importable from here; they are the partition module's functions.
@@ -61,6 +62,7 @@ from osm_merge_ray.geo import cells as C
 from osm_merge_ray.geo.distance import haversine_m
 from osm_merge_ray.image.phash import hamming64
 from osm_merge_ray.stages.partition import (  # noqa: F401 - the spine's API, re-exported
+    bucket_pairs,
     group_key,
     make_replicate_secondary,
     make_tag_primary,
@@ -125,30 +127,23 @@ def _ref_token(captions: np.ndarray) -> np.ndarray:
 def match_bucket(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
     """Score one shuffle bucket: all (cell, salt) groups it contains.
 
-    Candidate pairs are generated per exact cell group (tiny, numpy
-    cross-distance), then scored in ONE vectorized pass for the whole
+    Candidate pairs come from ``bucket_pairs`` (the spine's one
+    generator), then are scored in ONE vectorized pass for the whole
     bucket (batched caption DP + SWAR hamming) — no per-pair Python in
     the hot loop.
     """
-    prim = df[df["side"] == 0]
-    sec = df[df["side"] == 1]
+    prim, sec, pi, si = bucket_pairs(df, cfg.distance_m)
     n_p = len(prim)
     if n_p == 0:
         return _empty_decisions()
 
     p_lon = prim["lon"].to_numpy()
     p_lat = prim["lat"].to_numpy()
-    p_cell = prim["cell"].to_numpy()
-    p_salt = prim["salt"].to_numpy()
     s_lon = sec["lon"].to_numpy()
     s_lat = sec["lat"].to_numpy()
-    s_cell = sec["cell"].to_numpy()
-    s_salt = sec["salt"].to_numpy()
 
-    from osm_merge_ray.ops import rank_within_groups, same_key_pairs
+    from osm_merge_ray.ops import rank_within_groups
 
-    # fully vectorized same-(cell, salt) pair enumeration (no per-cell Python)
-    pi, si = same_key_pairs(group_key(p_cell, p_salt), group_key(s_cell, s_salt))
     if len(pi):
         dist = haversine_m(p_lon[pi], p_lat[pi], s_lon[si], s_lat[si])
         gate = dist <= cfg.distance_m
@@ -232,7 +227,7 @@ def match_bucket(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
             "old_caption": out_old,
             "lon": p_lon,
             "lat": p_lat,
-            "cell": p_cell,
+            "cell": prim["cell"].to_numpy(),
         }
     )
     # pin nullable text columns to pandas "string" so an all-null block

@@ -206,8 +206,7 @@ def conflate_lines(primary_ds, secondary_ds, cfg: ConflationConfig | None = None
 
 
 def match_lines_group(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
-    prim = df[df["side"] == 0]
-    sec = df[df["side"] == 1]
+    prim, sec, pi, si = P.bucket_pairs(df, cfg.distance_m)
     n_p = len(prim)
     cols = {
         "feature_id": pd.Series(dtype=np.int64),
@@ -225,20 +224,14 @@ def match_lines_group(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
     if n_p == 0:
         return pd.DataFrame(cols)
 
-    def geom_col(side_df: pd.DataFrame) -> list[str]:
-        # date-line crossers match on their split part, not the raw
-        # cross-map geometry (part_json set by _line_prepare)
-        if "part_json" in side_df.columns:
-            pj = side_df["part_json"].to_numpy()
-            cj = side_df["coords_json"].to_numpy()
-            return [p if isinstance(p, str) and p else c
-                    for p, c in zip(pj, cj)]
-        return list(side_df["coords_json"])
+    def lines(side_df: pd.DataFrame) -> list[np.ndarray]:
+        # split features match on their part (part_json set by
+        # _line_prepare), not the raw cross-map geometry
+        return [np.asarray(json.loads(p or c), dtype=np.float64).reshape(-1, 2)
+                for p, c in zip(side_df["part_json"], side_df["coords_json"])]
 
-    p_lines = [np.asarray(json.loads(c), dtype=np.float64).reshape(-1, 2)
-               for c in geom_col(prim)]
-    s_lines = [np.asarray(json.loads(c), dtype=np.float64).reshape(-1, 2)
-               for c in geom_col(sec)]
+    p_lines = lines(prim)
+    s_lines = lines(sec)
     p_props = [json.loads(x) for x in prim["props_json"]]
     s_props = [json.loads(x) for x in sec["props_json"]]
     p_ids = prim["feature_id"].to_numpy()
@@ -248,27 +241,10 @@ def match_lines_group(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
     s_ver = sec["version"].to_numpy()
     p_types = prim["geom_type"].to_numpy()
     s_types = sec["geom_type"].to_numpy()
+    pb = prim[["x0", "y0", "x1", "y1"]].to_numpy()
+    sb = sec[["x0", "y0", "x1", "y1"]].to_numpy()
 
-    from osm_merge_ray.ops import first_in_groups, rank_within_groups
-
-    def bboxes(lines):
-        b = np.empty((len(lines), 4))
-        for i, ln in enumerate(lines):
-            b[i] = (ln[:, 0].min(), ln[:, 1].min(), ln[:, 0].max(), ln[:, 1].max())
-        return b
-
-    pb = bboxes(p_lines)
-    sb = bboxes(s_lines)
-    # local band: match distance + this group's max primary reach
-    p_cx = prim["lon"].to_numpy()
-    p_cy = prim["lat"].to_numpy()
-    reach = P.reach_m(p_cx, p_cy, pb[:, 0], pb[:, 1], pb[:, 2], pb[:, 3])
-    band = cfg.distance_m + (float(reach.max()) if len(reach) else 0.0)
-    pi, si = P.local_refined_pairs(
-        P.group_key(prim["cell"].to_numpy(), prim["salt"].to_numpy()),
-        P.group_key(sec["cell"].to_numpy(), sec["salt"].to_numpy()),
-        p_cx, p_cy, sb[:, 0], sb[:, 1], sb[:, 2], sb[:, 3], band,
-    )
+    from osm_merge_ray.ops import rank_within_groups
 
     # vectorized bbox lower-bound pre-gate: cut pairs whose bbox gap
     # already exceeds the threshold (the STRtree-style gate, batch form)

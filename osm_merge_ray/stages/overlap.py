@@ -110,27 +110,16 @@ def polygon_overlap_pairs(primary_ds, secondary_ds, cfg: ConflationConfig | None
         """Piece-level pair PARTIALS: (id_a, id_b, part_area, area_a,
         area_b). Unsplit inputs emit exactly one partial per pair, so
         the finalize step below is a no-op reduction for them."""
-        prim = df[df["side"] == 0]
-        sec = df[df["side"] == 1]
+        prim, sec, pi, si = P.bucket_pairs(df, 0.0)
         cols = {"id_a": [], "id_b": [], "part_area": [],
                 "area_a": [], "area_b": []}
-        if len(prim) and len(sec):
+        if len(pi):
             pb = prim[["x0", "y0", "x1", "y1"]].to_numpy()
             sb = sec[["x0", "y0", "x1", "y1"]].to_numpy()
-            reach = P.reach_m(prim["lon"].to_numpy(), prim["lat"].to_numpy(),
-                              pb[:, 0], pb[:, 1], pb[:, 2], pb[:, 3])
-            band = float(reach.max()) if len(reach) else 0.0
-            pi, si = P.local_refined_pairs(
-                P.group_key(prim["cell"].to_numpy(), prim["salt"].to_numpy()),
-                P.group_key(sec["cell"].to_numpy(), sec["salt"].to_numpy()),
-                prim["lon"].to_numpy(), prim["lat"].to_numpy(),
-                sb[:, 0], sb[:, 1], sb[:, 2], sb[:, 3], band,
-            )
-            if len(pi):
-                # vectorized bbox-overlap gate before the exact clip
-                ok = ((pb[pi, 0] <= sb[si, 2]) & (sb[si, 0] <= pb[pi, 2])
-                      & (pb[pi, 1] <= sb[si, 3]) & (sb[si, 1] <= pb[pi, 3]))
-                pi, si = pi[ok], si[ok]
+            # vectorized bbox-overlap gate before the exact clip
+            ok = ((pb[pi, 0] <= sb[si, 2]) & (sb[si, 0] <= pb[pi, 2])
+                  & (pb[pi, 1] <= sb[si, 3]) & (sb[si, 1] <= pb[pi, 3]))
+            pi, si = pi[ok], si[ok]
             if len(pi):
                 def rings(side_df: pd.DataFrame) -> list[np.ndarray]:
                     # clip the PIECE when present, the full ring otherwise

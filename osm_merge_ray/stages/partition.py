@@ -19,7 +19,9 @@ Every conflation join in the engine (point image rows in
    cell becomes the fine-resolution cover inside that hot parent x every
    salt of it;
 5. ONE ``groupby(bucket)`` exchange; the sink sees one bucket's rows and
-   joins the sides on ``group_key(cell, salt)``.
+   gets its candidate pairs from ``bucket_pairs``: the sides joined on
+   ``group_key(cell, salt)``, oversized groups refined in memory
+   (``local_refined_pairs``).
 
 Point rows are the zero-extent case: without bbox columns the box is the
 centroid (x0 = x1 = lon, y0 = y1 = lat), the primary reach is 0 and the
@@ -243,12 +245,12 @@ def _salt_hash(t: pa.Table, rows: np.ndarray) -> np.ndarray:
     return splitmix64(hash64_str(col.to_numpy(zero_copy_only=False)[rows]))
 
 
-def _box(t: pa.Table) -> tuple[np.ndarray, ...]:
-    """(x0, y0, x1, y1) per row: the bbox columns, or the centroid as a
-    zero-extent box for point rows."""
-    if "x0" in t.column_names:
-        return tuple(t.column(k).to_numpy() for k in ("x0", "y0", "x1", "y1"))
-    lon, lat = t.column("lon").to_numpy(), t.column("lat").to_numpy()
+def _box(t) -> tuple[np.ndarray, ...]:
+    """(x0, y0, x1, y1) per row of an Arrow table or a pandas frame: the
+    bbox columns, or the centroid as a zero-extent box for point rows."""
+    if "x0" in (t.column_names if isinstance(t, pa.Table) else t.columns):
+        return tuple(t[k].to_numpy() for k in ("x0", "y0", "x1", "y1"))
+    lon, lat = t["lon"].to_numpy(), t["lat"].to_numpy()
     return lon, lat, lon, lat
 
 
@@ -440,6 +442,27 @@ def local_refined_pairs(kp: np.ndarray, ks: np.ndarray,
     return pi, si
 
 
+def bucket_pairs(df: pd.DataFrame, band_m: float):
+    """The in-bucket candidate generator of every ``shuffle_match`` sink:
+    split one bucket's rows on ``side``, join the sides on
+    ``group_key(cell, salt)`` and refine oversized groups in memory
+    (``local_refined_pairs``) with a band of ``band_m`` plus the bucket's
+    max primary reach (0 for point rows).
+
+    Returns ``(prim, sec, pi, si)``: the two sides' frames and the
+    candidate pairs as positional indices into them.
+    """
+    prim, sec = df[df["side"] == 0], df[df["side"] == 1]
+    p_lon, p_lat = prim["lon"].to_numpy(), prim["lat"].to_numpy()
+    # fmax skips NaN: a row without coordinates must not poison the band
+    reach = float(np.fmax.reduce(reach_m(p_lon, p_lat, *_box(prim)), initial=0.0))
+    pi, si = local_refined_pairs(
+        group_key(prim["cell"].to_numpy(), prim["salt"].to_numpy()),
+        group_key(sec["cell"].to_numpy(), sec["salt"].to_numpy()),
+        p_lon, p_lat, *_box(sec), band_m + reach)
+    return prim, sec, pi, si
+
+
 def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
                   match_fn, skip_buckets=()):
     """The one-shuffle spine over a side-tagged union of LIGHT rows
@@ -447,8 +470,8 @@ def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
     → tag/replicate → bucket groupby → ``match_fn`` per bucket.
 
     ``match_fn(df)`` is the per-bucket sink: it sees the light rows of
-    one bucket with ``cell``, ``salt`` and ``bucket`` columns, must join
-    sides on (cell, salt) — use ``group_key`` — and returns a frame (the
+    one bucket with ``cell``, ``salt`` and ``bucket`` columns, gets its
+    candidate pairs from ``bucket_pairs`` and returns a frame (the
     decision rows, or a per-bucket record when the sink writes its own
     output). ``band_extra_m`` is the match distance (0 for pure-overlap
     joins); the primary max reach is added automatically.

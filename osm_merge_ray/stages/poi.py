@@ -177,8 +177,7 @@ def conflate_pois(poi_ds, osm_ds, cfg: ConflationConfig | None = None,
         direct = None
 
     def match(df: pd.DataFrame) -> pd.DataFrame:
-        prim = df[df["side"] == 0]
-        sec = df[df["side"] == 1]
+        prim, sec, pi, si = P.bucket_pairs(df, tolerance_m)
         n_p = len(prim)
         if n_p == 0:
             return pd.DataFrame({
@@ -189,19 +188,9 @@ def conflate_pois(poi_ds, osm_ds, cfg: ConflationConfig | None = None,
                 "dist_mm": pd.Series(dtype=np.int64),
                 "merged_json": pd.Series(dtype="string"),
             })
-        p_lon = prim["lon"].to_numpy()
-        p_lat = prim["lat"].to_numpy()
-        s_lon = sec["lon"].to_numpy()
-        s_lat = sec["lat"].to_numpy()
-        # point geometry (centroid distance): band = tolerance; dense
-        # sub-cell clusters refine on an in-memory fine grid
-        pi, si = P.local_refined_pairs(
-            P.group_key(prim["cell"].to_numpy(), prim["salt"].to_numpy()),
-            P.group_key(sec["cell"].to_numpy(), sec["salt"].to_numpy()),
-            p_lon, p_lat, s_lon, s_lat, s_lon, s_lat, tolerance_m,
-        )
         if len(pi):
-            dist = haversine_m(p_lon[pi], p_lat[pi], s_lon[si], s_lat[si])
+            dist = haversine_m(prim["lon"].to_numpy()[pi], prim["lat"].to_numpy()[pi],
+                               sec["lon"].to_numpy()[si], sec["lat"].to_numpy()[si])
             gate = dist <= tolerance_m
             pi, si, dist = pi[gate], si[gate], dist[gate]
         else:

@@ -110,56 +110,117 @@ def test_build_bloom_distributed_equals_local(ray_session):
     assert misses.mean() < 0.01
 
 
-def test_local_refined_pairs_dense_cluster(ray_session):
-    """A dense sub-cell cluster must refine on the in-memory fine grid,
-    not enumerate P*S pairs — and produce the same decisions as the
-    unrefined path (tiny budget forces refinement)."""
+def _dense_blob_frames(kind: str, n: int = 400):
+    """Bucket frames of an n x n dense cluster (~100 m, one base cell),
+    built in-process as perfbench/replay.py builds them: prepare → tag /
+    replicate (no hot cells, so the blob stays ONE (cell, salt) group) →
+    group by bucket. Returns (frames, cfg, the two input tables)."""
     import json
 
-    from osm_merge_ray.stages import partition as P
-    from osm_merge_ray.stages.lines import conflate_lines
+    import pyarrow.compute as pc
 
     rng = np.random.default_rng(3)
-    n = 400
-    prim_rows, sec_rows = [], []
-    for i in range(n):
-        lon = -105.0005 + rng.uniform(0, 0.001)   # ~100 m blob, one cell
-        lat = 39.0005 + rng.uniform(0, 0.001)
-        coords = [[lon + k * 1e-5, lat] for k in range(5)]
-        prim_rows.append({"feature_id": i, "geom_type": "LineString",
-                          "coords_json": json.dumps(coords),
-                          "props_json": json.dumps({"name": f"R {i}", "ref": f"F {i}"})})
+    lon = -105.0005 + rng.uniform(0, 0.001, n)
+    lat = 39.0005 + rng.uniform(0, 0.001, n)
+    if kind == "lines":
+        from osm_merge_ray.stages.lines import _line_prepare
+
+        cfg = ConflationConfig(cell_res=12, num_buckets=4)
         off = 2.0 / 111194.9
-        sec_rows.append({"feature_id": 10_000 + i, "geom_type": "LineString",
-                         "coords_json": json.dumps([[x, y + off] for x, y in coords]),
-                         "props_json": json.dumps({"name": f"R {i}", "ref": f"F {i}"})})
-    tp, ts = pa.Table.from_pylist(prim_rows), pa.Table.from_pylist(sec_rows)
-    cfg = ConflationConfig(cell_res=12, num_buckets=4, hot_cell_rows=50)
-    base = conflate_lines(rd.from_arrow(tp), rd.from_arrow(ts), cfg).to_pandas()
-    old_budget = P.local_refined_pairs.__defaults__
-    try:
-        # force the refinement path with a 1-pair budget
-        P.local_refined_pairs.__defaults__ = (1,)
-        refined = conflate_lines(rd.from_arrow(tp), rd.from_arrow(ts), cfg).to_pandas()
-    finally:
-        P.local_refined_pairs.__defaults__ = old_budget
-    cols = ["feature_id", "matched_id", "decision", "hits"]
-    a = base[cols].sort_values("feature_id").reset_index(drop=True)
-    b = refined[cols].sort_values("feature_id").reset_index(drop=True)
-    assert a.equals(b)
-    assert (a["decision"] == "merged").all()
+        sides = []
+        for side, dy, id0 in ((0, 0.0, 0), (1, off, 10_000)):
+            sides.append(pa.Table.from_pylist([
+                {"feature_id": id0 + i, "geom_type": "LineString",
+                 "coords_json": json.dumps([[lon[i] + k * 1e-5, lat[i] + dy]
+                                            for k in range(5)]),
+                 "props_json": json.dumps({"name": f"R {i}", "ref": f"F {i}"})}
+                for i in range(n)]))
+        light = pa.concat_tables([_line_prepare(t, cfg, side)
+                                  for side, t in enumerate(sides)])
+        prim = light.filter(pc.equal(light.column("side"), 0))
+        reach = P.reach_m(*(prim.column(k).to_numpy()
+                            for k in ("lon", "lat", "x0", "y0", "x1", "y1")))
+        band = cfg.distance_m + float(reach.max())
+    else:
+        from osm_merge_ray.stages import conflate as CF
+        from osm_merge_ray.synth import synth_table
+
+        cfg = ConflationConfig(cell_res=15, num_buckets=4)
+        tp = synth_table(n, "primary", with_bytes=False)
+        ts = synth_table(n, "secondary", with_bytes=False)
+        # keep each side's planted offset, move the primaries into the blob
+        dlon = ts.column("lon").to_numpy() - tp.column("lon").to_numpy()
+        dlat = ts.column("lat").to_numpy() - tp.column("lat").to_numpy()
+        sides = []
+        for side, t, x, y in ((0, tp, lon, lat), (1, ts, lon + dlon, lat + dlat)):
+            t = t.set_column(t.schema.get_field_index("lon"), "lon", pa.array(x))
+            t = t.set_column(t.schema.get_field_index("lat"), "lat", pa.array(y))
+            sides.append(t.append_column(
+                "side", pa.array(np.full(n, side, np.int8), pa.int8())))
+        light = CF.prepare(pa.concat_tables(sides), cfg)
+        band = cfg.distance_m
+    p = P.make_tag_primary(cfg, {})(light)
+    s = P.make_replicate_secondary(cfg, {}, band)(light)
+    both = pa.concat_tables([p, s]).to_pandas()
+    return [df for _, df in both.groupby("bucket", sort=True)], cfg, sides
 
 
-def test_lines_engine_matches_bruteforce_oracle(ray_session):
-    """Engine line conflation ≡ a literal O(N*M) oracle over adversarial
-    geometry: long lines spanning multiple cells, boundary straddlers,
-    a dense cluster, short/degenerate lines — partitioning must be
-    semantically invisible."""
+@pytest.mark.parametrize("kind", ["lines", "images"])
+def test_local_refined_pairs_dense_cluster(kind, monkeypatch):
+    """A dense sub-cell cluster must refine on the in-memory fine grid,
+    not enumerate P*S pairs — and every sink must produce the same
+    decisions as the unrefined path. Runs in-process: a budget patched
+    here would not reach Ray worker processes."""
+    import pandas as pd
+
+    from osm_merge_ray.stages.conflate import match_bucket
+    from osm_merge_ray.stages.lines import match_lines_group
+
+    n = 400
+    frames, cfg, sides = _dense_blob_frames(kind, n)
+    sink = match_lines_group if kind == "lines" else match_bucket
+    cols = (["feature_id", "matched_id", "decision", "hits"] if kind == "lines"
+            else ["image_id", "matched_id", "decision", "hits", "dist_mm"])
+
+    real, calls = P.local_refined_pairs, []
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(P, "local_refined_pairs", spy)
+
+    def run():
+        out = pd.concat([sink(df, cfg) for df in frames], ignore_index=True)[cols]
+        assert len(calls) == len(frames)  # the sink drew its pairs from bucket_pairs
+        calls.clear()
+        out = out.astype(object).where(out.notna(), None)
+        pairs = sum(len(P.bucket_pairs(df, cfg.distance_m)[2]) for df in frames)
+        calls.clear()
+        return out.sort_values(cols[0]).reset_index(drop=True), pairs
+
+    base, full_pairs = run()
+    monkeypatch.setattr(real, "__defaults__", (1,))
+    refined, refined_pairs = run()
+    # the budget of 1 took the refined branch: the blob's P*S is cut >10x
+    assert full_pairs > 10 * refined_pairs
+    assert len(base) == n
+    assert base.equals(refined)
+    if kind == "lines":
+        assert (base["decision"] == "merged").all()
+    else:
+        from tests.oracle import conflate_oracle
+
+        want = conflate_oracle(sides[0].to_pandas(), sides[1].to_pandas(), cfg)[cols]
+        want = want.astype(object).where(want.notna(), None)
+        assert base.equals(want.sort_values(cols[0]).reset_index(drop=True))
+
+
+def _adversarial_lines():
+    """(cfg, primary rows, secondary rows): long lines spanning multiple
+    cells, boundary straddlers, a dense cluster (hot cell at
+    ``hot_cell_rows=40``), short/degenerate lines."""
     import json
-
-    from osm_merge_ray.geo.distance import (
-        batch_slope_angle_offset2, pack_polylines, polyline_min_dist_m)
-    from osm_merge_ray.stages.lines import conflate_lines, score_tags
 
     rng = np.random.default_rng(17)
     cfg = ConflationConfig(cell_res=14, num_buckets=8, hot_cell_rows=40)
@@ -205,6 +266,21 @@ def test_lines_engine_matches_bruteforce_oracle(ray_session):
                              "coords_json": json.dumps(
                                  [[x, y + off] for x, y in coords]),
                              "props_json": json.dumps({"name": nm, "ref": f"FR {i}"})})
+    return cfg, prim_rows, sec_rows
+
+
+def test_lines_engine_matches_bruteforce_oracle(ray_session):
+    """Engine line conflation ≡ a literal O(N*M) oracle over adversarial
+    geometry: long lines spanning multiple cells, boundary straddlers,
+    a dense cluster, short/degenerate lines — partitioning must be
+    semantically invisible."""
+    import json
+
+    from osm_merge_ray.geo.distance import (
+        batch_slope_angle_offset2, pack_polylines, polyline_min_dist_m)
+    from osm_merge_ray.stages.lines import conflate_lines, score_tags
+
+    cfg, prim_rows, sec_rows = _adversarial_lines()
     tp = pa.Table.from_pylist(prim_rows)
     ts = pa.Table.from_pylist(sec_rows)
 
@@ -259,6 +335,38 @@ def test_lines_engine_matches_bruteforce_oracle(ray_session):
         if got != (mid, dec, h):
             mism.append((i, (mid, dec, h), got))
     assert not mism, mism[:10]
+
+
+@pytest.mark.parametrize("kind", ["images", "lines"])
+def test_decisions_invariant_to_block_layout(ray_session, kind):
+    """The same inputs in 1, 5 or 37 blocks give identical decisions:
+    shuffle block order changes the in-bucket row and pair order, and
+    no sink may let that order decide a result."""
+    from osm_merge_ray.stages.conflate import conflate_datasets
+    from osm_merge_ray.stages.lines import conflate_lines
+
+    if kind == "images":
+        from osm_merge_ray.synth import synth_table
+
+        cfg = ConflationConfig(cell_res=15, num_buckets=16, hot_cell_rows=5)
+        tp = synth_table(600, "primary", with_bytes=False)
+        ts = synth_table(600, "secondary", with_bytes=False)
+        run, cols = conflate_datasets, ["image_id", "matched_id", "decision",
+                                        "hits", "dist_mm", "old_caption"]
+    else:
+        cfg, prim_rows, sec_rows = _adversarial_lines()
+        tp, ts = pa.Table.from_pylist(prim_rows), pa.Table.from_pylist(sec_rows)
+        run, cols = conflate_lines, ["feature_id", "matched_id", "version",
+                                     "decision", "hits", "dist_m", "angle",
+                                     "slope", "merged_json"]
+    outs = []
+    for k in (1, 5, 37):
+        got = run(rd.from_arrow(tp).repartition(k), rd.from_arrow(ts).repartition(k),
+                  cfg).to_pandas()[cols]
+        got = got.astype(object).where(got.notna(), None)
+        outs.append(got.sort_values(cols[0]).reset_index(drop=True))
+    assert len(outs[0]) == tp.num_rows
+    assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
 
 
 def test_douglas_peucker_properties(ray_session):
