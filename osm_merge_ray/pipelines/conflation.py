@@ -54,11 +54,10 @@ def flagship(n_per_side: int = 1000, cfg: ConflationConfig | None = None,
 
 def conflate_parquet(primary_path: str, secondary_path: str,
                      cfg: ConflationConfig | None = None,
-                     decode_images: bool = True, out_dir: str | None = None,
-                     decode_concurrency: tuple[int, int] | None = None):
+                     decode_images: bool = True, out_dir: str | None = None):
     """The production-shaped flagship: parquet (Lance-shaped) tables in,
-    ONE side-tagged union → one actor-pool decode+verify sized to the
-    node → conflate → tile → partitioned parquet out."""
+    one decode+verify fused into each side's read → ONE side-tagged
+    union → conflate → tile → partitioned parquet out."""
     import ray.data as rd
 
     cfg = cfg or ConflationConfig()
@@ -85,11 +84,6 @@ def conflate_parquet(primary_path: str, secondary_path: str,
         ds = rd.read_parquet(path, override_num_blocks=max(nfiles, 1),
                              columns=cols)
         if decode_images:
-            if decode_concurrency is not None:
-                # explicit actor pool (real heavy-init decoders)
-                return ds.map_batches(DecodeVerify, batch_format="pyarrow",
-                                      batch_size=512,
-                                      concurrency=decode_concurrency)
             # stateless task mode, NO batch_size: an explicit batch_size
             # prevents Ray from fusing the map with ReadParquet, and an
             # unfused decode ships the image BYTES through the object

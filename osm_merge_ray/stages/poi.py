@@ -63,6 +63,35 @@ def _poi_prepare(t: pa.Table, cfg: ConflationConfig, side: int) -> pa.Table:
     })
 
 
+def _merge_tags(osm_props: dict, poi_props: dict) -> str:
+    """Merged tag JSON of a matched pair: the POI's values win and a
+    displaced OSM value is kept as ``old_<key>`` (conflatePOI.py:231-233)."""
+    m = dict(osm_props)
+    for k, v in poi_props.items():
+        if k in m and m[k] != v:
+            m[f"old_{k}"] = m[k]
+        m[k] = v
+    return json.dumps(m, sort_keys=True)
+
+
+def _tag_hits(a_props: list[dict], b_props: list[dict],
+              fuzz_threshold: float) -> np.ndarray:
+    """Hits per pair ``(a_props[k], b_props[k])``: the ANALYZE_KEYS both
+    sides carry whose lower-cased values score fuzz > threshold
+    (conflatePOI.py:205-235) — one batched DP per key over all pairs."""
+    hits = np.zeros(len(a_props), dtype=np.int64)
+    for key in ANALYZE_KEYS:
+        a_vals = [a.get(key) for a in a_props]
+        b_vals = [b.get(key) for b in b_props]
+        idx = [k for k, (x, y) in enumerate(zip(a_vals, b_vals))
+               if x is not None and y is not None]
+        if idx:
+            r = batch_indel_ratio([str(a_vals[k]).lower() for k in idx],
+                                  [str(b_vals[k]).lower() for k in idx])
+            hits[idx] += (r > fuzz_threshold).astype(np.int64)
+    return hits
+
+
 def conflate_pois(poi_ds, osm_ds, cfg: ConflationConfig | None = None,
                   tolerance_m: float = 7.0, fuzz_threshold: float = 80.0,
                   id_lookup: bool = True):
@@ -132,36 +161,22 @@ def conflate_pois(poi_ds, osm_ds, cfg: ConflationConfig | None = None,
                 d = haversine_m(p_lon[found], p_lat[found],
                                 s_lon[found], s_lat[found])
                 dist[found] = np.round(d * 1000.0).astype(np.int64)
-            hits = np.zeros(n, dtype=np.int64)
             merged = [None] * n
             p_props = [json.loads(x) for x in t.column("props_json").to_pylist()]
-            s_props_col = t.column("s_props").to_pylist()
             s_props = [json.loads(x) if x is not None else None
-                       for x in s_props_col]
-            # batched DP per key across all matched rows (same pattern
-            # as the spatial scorer) instead of one kernel call per row
-            for key in ANALYZE_KEYS:
-                idx = [i for i in range(n) if found[i]
-                       and p_props[i].get(key) is not None
-                       and s_props[i].get(key) is not None]
-                if idx:
-                    r = batch_indel_ratio(
-                        [str(p_props[i][key]).lower() for i in idx],
-                        [str(s_props[i][key]).lower() for i in idx])
-                    for j, i in enumerate(idx):
-                        hits[i] += int(r[j] > fuzz_threshold)
+                       for x in t.column("s_props").to_pylist()]
+            hits = np.zeros(n, dtype=np.int64)
+            hit_rows = np.flatnonzero(found)
+            hits[hit_rows] = _tag_hits([p_props[i] for i in hit_rows],
+                                       [s_props[i] for i in hit_rows],
+                                       fuzz_threshold)
             for i in range(n):
-                if not found[i]:
+                if found[i]:
+                    merged[i] = _merge_tags(s_props[i], p_props[i])
+                else:
                     m = dict(p_props[i])
                     m["fixme"] = "id referenced a missing OSM object"
                     merged[i] = json.dumps(m, sort_keys=True)
-                    continue
-                m = dict(s_props[i])
-                for k, v in p_props[i].items():
-                    if k in m and m[k] != v:
-                        m[f"old_{k}"] = m[k]
-                    m[k] = v
-                merged[i] = json.dumps(m, sort_keys=True)
             return pd.DataFrame({
                 "feature_id": fid.astype(np.int64),
                 "matched_id": matched,
@@ -203,19 +218,8 @@ def conflate_pois(poi_ds, osm_ds, cfg: ConflationConfig | None = None,
             [("amenity" in t or "building" in t) for t in s_props], dtype=bool
         )
 
-        # hits per candidate: fuzz > threshold over shared analyze keys
-        # (conflatePOI.py:205-235)
-        hits = np.zeros(len(pi), dtype=np.int64)
-        if len(pi):
-            for key in ANALYZE_KEYS:
-                a_vals = [p_props[i].get(key) for i in pi]
-                b_vals = [s_props[j].get(key) for j in si]
-                mask = [x is not None and y is not None for x, y in zip(a_vals, b_vals)]
-                if any(mask):
-                    idx = np.flatnonzero(mask)
-                    r = batch_indel_ratio([str(a_vals[k]).lower() for k in idx],
-                                          [str(b_vals[k]).lower() for k in idx])
-                    hits[idx] += (r > fuzz_threshold).astype(np.int64)
+        hits = _tag_hits([p_props[i] for i in pi], [s_props[j] for j in si],
+                         fuzz_threshold)
 
         # cascade rank: node-with-poi-tag (0) < other node (1) < way (2)
         klass = np.where(s_has_poi_tag[si] & s_is_node[si], 0,
@@ -238,14 +242,7 @@ def conflate_pois(poi_ds, osm_ds, cfg: ConflationConfig | None = None,
                 matched[i] = s_ids[j]
                 out_hits[i] = hits[b]
                 out_dist[i] = dist_mm[b]
-                # primary values win; displaced → old_<key>
-                # (conflatePOI.py:231-233)
-                m = dict(s_props[j])
-                for k, v in p_props[i].items():
-                    if k in m and m[k] != v:
-                        m[f"old_{k}"] = m[k]
-                    m[k] = v
-                merged[i] = json.dumps(m, sort_keys=True)
+                merged[i] = _merge_tags(s_props[j], p_props[i])
         decision = np.where(
             matched < 0, "new",
             np.where((n_cands > 1) & (out_hits > 0), "duplicate", "merged"),

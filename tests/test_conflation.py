@@ -243,37 +243,6 @@ def test_derived_centroid_path(ray_session):
     assert (out["dist_mm"] == 0).all()
 
 
-def test_actor_pool_decode_path_equals_task_path(ray_session, tmp_path):
-    """conflate_parquet's explicit actor-pool decode (the heavy-init
-    decoder mode) must produce identical decisions to the fused task
-    mode."""
-    import pyarrow.parquet as pq
-
-    from osm_merge_ray.pipelines.conflation import conflate_parquet
-
-    for side in ("primary", "secondary"):
-        d = tmp_path / side
-        d.mkdir()
-        pq.write_table(synth_table(300, side, with_bytes=True),
-                       str(d / "part.parquet"))
-    cfg = ConflationConfig(num_buckets=8)
-    task = conflate_parquet(str(tmp_path / "primary"), str(tmp_path / "secondary"),
-                            cfg=cfg).to_pandas()
-    pool = conflate_parquet(str(tmp_path / "primary"), str(tmp_path / "secondary"),
-                            cfg=cfg, decode_concurrency=(1, 2)).to_pandas()
-    cols = ["image_id", "matched_id", "decision", "hits", "dist_mm"]
-    a = task[cols].sort_values("image_id").reset_index(drop=True)
-    b = pool[cols].sort_values("image_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(_norm_ids(a), _norm_ids(b))
-
-
-def _norm_ids(df):
-    out = df.copy()
-    for c in ("image_id", "matched_id", "decision"):
-        out[c] = out[c].astype(object).where(pd.notna(out[c]), None)
-    return out.reset_index(drop=True)
-
-
 def test_checkpoint_records_fragment_lineage(ray_session, tmp_path):
     """r4: feeding run_checkpointed through read_parquet_with_lineage
     records per-bucket input_fragments in the manifests plus a

@@ -179,24 +179,30 @@ def test_poi_cascade(poi_sets):
 def test_poi_id_direct_lookup(ray_session):
     """J5 positive-id path (conflatePOI.py:417 queryById intent): a POI
     carrying a positive `id` matches that OSM object directly — no
-    spatial search; a dangling id emits 'new' with a fixme."""
+    spatial search; a dangling id emits 'new' with a fixme. On both the
+    direct and the spatial path the POI's tag values win and a displaced
+    OSM value is kept as `old_<key>` (conflatePOI.py:231-233)."""
     import json as J
 
     osm = [{"geometry": {"type": "Point", "coordinates": [-105.5, 39.5]},
-            "properties": {"amenity": "cafe", "name": "Moose Cafe"}},
+            "properties": {"amenity": "cafe", "name": "Moose Cafe",
+                           "phone": "555-0000"}},
            {"geometry": {"type": "Point", "coordinates": [-105.6, 39.6]},
-            "properties": {"amenity": "shop", "name": "Trail Store"}}]
+            "properties": {"amenity": "shop", "name": "Trail Store",
+                           "opening_hours": "24/7"}}]
     # OSM ids come from features_to_table start ids
     pois = [
         # direct id match, FAR from the object (id wins over distance)
         {"geometry": {"type": "Point", "coordinates": [-104.0, 38.0]},
-         "properties": {"id": "5000", "amenity": "cafe", "name": "Moose Cafe"}},
+         "properties": {"id": "5000", "amenity": "cafe", "name": "Moose Cafe",
+                        "phone": "555-0101"}},
         # dangling id
         {"geometry": {"type": "Point", "coordinates": [-104.1, 38.1]},
          "properties": {"id": "99999", "name": "Ghost"}},
         # no id → spatial path, near OSM feature 5001
         {"geometry": {"type": "Point", "coordinates": [-105.6, 39.60001]},
-         "properties": {"amenity": "shop", "name": "Trail Store"}},
+         "properties": {"amenity": "shop", "name": "Trail Store",
+                        "opening_hours": "Mo-Fr"}},
     ]
     tp = features_to_table(pois, start_id=1)
     ts = features_to_table(osm, start_id=5000)
@@ -212,3 +218,11 @@ def test_poi_id_direct_lookup(ray_session):
     assert "fixme" in J.loads(out.loc[2, "merged_json"])
     assert out.loc[3, "matched_id"] == 5001
     assert out.loc[3, "decision"] == "merged"
+    direct = J.loads(out.loc[1, "merged_json"])
+    assert direct["phone"] == "555-0101"
+    assert direct["old_phone"] == "555-0000"
+    assert direct["name"] == "Moose Cafe" and "old_name" not in direct
+    spatial = J.loads(out.loc[3, "merged_json"])
+    assert spatial["opening_hours"] == "Mo-Fr"
+    assert spatial["old_opening_hours"] == "24/7"
+    assert spatial["amenity"] == "shop" and "old_amenity" not in spatial
