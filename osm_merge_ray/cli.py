@@ -38,6 +38,20 @@ def _ray():
     return ray
 
 
+def read_features(path):
+    """Feature dataset of one file, by suffix (``parseFile``,
+    conflator.py:811-846): ``.osm`` through the XML reader (node-deref'd
+    geometry + way refs — a GeoJSON roundtrip would lose the refs the
+    writer needs), anything else as GeoJSON."""
+    if str(path).endswith(".osm"):
+        from osm_merge_ray.sources.osm_xml import read_osm_xml
+
+        return read_osm_xml([str(path)])
+    from osm_merge_ray.sources.geojson import read_geojson
+
+    return read_geojson(path)
+
+
 def cmd_convert(args) -> int:
     from osm_merge_ray.sources.geojson import read_geojson, write_geojson
     from osm_merge_ray.stages.convert import load_yaml_mapping, make_converter
@@ -67,27 +81,11 @@ def cmd_conflate_lines(args) -> int:
     import pyarrow as pa
 
     from osm_merge_ray.config import ConflationConfig
-    from osm_merge_ray.sources.geojson import read_geojson
     from osm_merge_ray.stages.lines import conflate_lines
-
-    def read_side(path):
-        # parseFile suffix dispatch (conflator.py:811-846): .osm goes
-        # through the XML reader (node-deref'd geometry + way refs —
-        # a GeoJSON roundtrip would lose the refs the writer needs)
-        if str(path).endswith(".osm"):
-            from osm_merge_ray.sources.osm_xml import read_osm_xml
-
-            ds = read_osm_xml([str(path)])
-            return ds.map_batches(
-                lambda t: t.rename_columns(
-                    ["feature_id" if c == "osm_id" else c
-                     for c in t.column_names]),
-                batch_format="pyarrow")
-        return read_geojson(path)
 
     _ray()
     cfg = ConflationConfig(distance_m=args.threshold, cell_res=args.cell_res)
-    out = conflate_lines(read_side(args.primary), read_side(args.secondary), cfg)
+    out = conflate_lines(read_features(args.primary), read_features(args.secondary), cfg)
     out.write_parquet(args.outdir)
     print(f"wrote decisions to {args.outdir}")
     if args.osm_out or args.new_out:
@@ -157,18 +155,14 @@ def cmd_tm_split(args) -> int:
         import numpy as np
         import pyarrow as pa
 
+        from osm_merge_ray.geo import coords as G
         from osm_merge_ray.sources.geojson import read_geojson, table_to_features
 
         _ray()
         ds = read_geojson(args.split)
 
         def assign(t: pa.Table) -> pa.Table:
-            cj = t.column("coords_json").to_pylist()
-            lon = np.empty(len(cj))
-            lat = np.empty(len(cj))
-            for i, c in enumerate(cj):
-                arr = np.asarray(json.loads(c), dtype=np.float64).reshape(-1, 2)
-                lon[i], lat[i] = arr.mean(axis=0)
+            lon, lat = G.centroids(G.parse(t.column("coords_json"), G.ids_of(t)))
             return t.append_column(
                 "tile_id", pa.array(grid.tile_of_lonlat(lon, lat), pa.int64()))
 
@@ -214,8 +208,6 @@ def cmd_pipeline(args) -> int:
     import os
 
     from osm_merge_ray.config import ConflationConfig
-    from osm_merge_ray.sources.geojson import read_geojson
-    from osm_merge_ray.sources.osm_xml import read_osm_xml
     from osm_merge_ray.stages.convert import make_converter
     from osm_merge_ray.stages.lines import conflate_lines
 
@@ -225,19 +217,16 @@ def cmd_pipeline(args) -> int:
     done = 0
     for prim in sorted(glob.glob(os.path.join(args.primary_dir, "*.geojson"))):
         stem = os.path.splitext(os.path.basename(prim))[0]
-        sec = None
-        for ext, reader in ((".osm", read_osm_xml), (".geojson", read_geojson)):
-            cand = os.path.join(args.secondary_dir, stem + ext)
-            if os.path.exists(cand):
-                sec = reader(cand)
-                break
+        sec = next((c for c in (os.path.join(args.secondary_dir, stem + ext)
+                                for ext in (".osm", ".geojson"))
+                    if os.path.exists(c)), None)
         if sec is None:
             print(f"skip {stem}: no secondary file")
             continue
-        p = read_geojson(prim)
+        p = read_features(prim)
         if args.type != "none":
             p = p.map_batches(make_converter(args.type), batch_format="pyarrow")
-        out = conflate_lines(p, sec, cfg)
+        out = conflate_lines(p, read_features(sec), cfg)
         out.write_parquet(os.path.join(args.outdir, stem))
         done += 1
     print(f"conflated {done} task files into {args.outdir}/")

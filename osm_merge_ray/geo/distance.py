@@ -68,27 +68,10 @@ def polyline_min_dist_m(line_a: np.ndarray, line_b: np.ndarray) -> float:
     return float(np.sqrt(best))
 
 
-def pack_polylines(lines: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad a list of (n_i, 2) lon/lat polylines into dense (n, maxlen)
-    x/y arrays + lengths, so per-pair geometry kernels can run as one
-    numpy pass over a whole candidate batch instead of a Python loop
-    per pair (the batching VERDICT r1 #5 asks for; same style as
-    text/fuzz's batched DP)."""
-    n = len(lines)
-    lens = np.fromiter((len(ln) for ln in lines), dtype=np.int64, count=n)
-    m = int(lens.max()) if n else 1
-    xs = np.zeros((n, max(m, 1)), dtype=np.float64)
-    ys = np.zeros((n, max(m, 1)), dtype=np.float64)
-    for i, ln in enumerate(lines):
-        xs[i, : len(ln)] = ln[:, 0]
-        ys[i, : len(ln)] = ln[:, 1]
-    return xs, ys, lens
-
-
 def batch_polyline_min_dist_m(axs, ays, la, bxs, bys, lb,
                               chunk: int = 4096) -> np.ndarray:
     """Min polyline-polyline distance (meters) for N index-aligned pairs
-    over packed arrays (see ``pack_polylines``): vertices-of-A vs
+    over packed arrays (``geo/coords.pad``): vertices-of-A vs
     segments-of-B and vice versa, on the same local planar projection
     the scalar ``polyline_min_dist_m`` uses — results are identical.
     Memory is bounded by chunking pairs (chunk * maxA * maxB doubles).

@@ -63,11 +63,6 @@ def intersection_area(a: np.ndarray, b: np.ndarray) -> float:
     return abs(shoelace_area(inter))
 
 
-def bbox_of(poly: np.ndarray) -> tuple[float, float, float, float]:
-    p = np.asarray(poly, dtype=np.float64)
-    return float(p[:, 0].min()), float(p[:, 1].min()), float(p[:, 0].max()), float(p[:, 1].max())
-
-
 def is_convex(ring: np.ndarray) -> bool:
     """Convexity check via a cross-product sign sweep over consecutive
     edges (collinear vertices allowed). O(n)."""
@@ -107,7 +102,7 @@ def split_polygon_span(ring: np.ndarray,
     ring = ensure_ccw(np.asarray(ring, dtype=np.float64))
     if max_span_deg <= 0:
         raise ValueError("max_span_deg must be positive")
-    x0, y0, x1, y1 = bbox_of(ring)
+    (x0, y0), (x1, y1) = ring.min(axis=0), ring.max(axis=0)
     if (x1 - x0) <= max_span_deg and (y1 - y0) <= max_span_deg:
         return [ring]
     if not is_convex(ring):

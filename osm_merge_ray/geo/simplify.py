@@ -22,6 +22,7 @@ import json
 import numpy as np
 import pyarrow as pa
 
+from osm_merge_ray.geo.coords import parse
 from osm_merge_ray.geo.distance import point_segment_dist2
 
 
@@ -65,14 +66,11 @@ def simplify_lines(ds, tolerance_m: float = 1.0,
     vertex-reduction rate."""
 
     def batch(t: pa.Table) -> pa.Table:
-        cj = t.column(coords_column).to_pylist()
-        out, n_in, n_out = [], [], []
-        for c in cj:
-            coords = np.asarray(json.loads(c), dtype=np.float64).reshape(-1, 2)
-            simple = simplify_coords(coords, tolerance_m)
-            out.append(json.dumps(simple.tolist()))
-            n_in.append(len(coords))
-            n_out.append(len(simple))
+        g = parse(t.column(coords_column), column=coords_column)
+        simple = [simplify_coords(c, tolerance_m) for c in g.rows()]
+        out = [json.dumps(c.tolist()) for c in simple]
+        n_in = np.diff(g.off)
+        n_out = [len(c) for c in simple]
         t = t.drop_columns([coords_column])
         t = t.append_column(coords_column, pa.array(out, pa.string()))
         t = t.append_column("n_points_in", pa.array(n_in, pa.int64()))

@@ -37,15 +37,10 @@ import json
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from osm_merge_ray.config import ConflationConfig
-from osm_merge_ray.geo import cells as C
-from osm_merge_ray.geo.distance import (
-    batch_polyline_min_dist_m,
-    batch_slope_angle_offset2,
-    pack_polylines,
-)
+from osm_merge_ray.geo import coords as G
+from osm_merge_ray.geo.distance import batch_polyline_min_dist_m, batch_slope_angle_offset2
 from osm_merge_ray.stages import partition as P
 from osm_merge_ray.text.fuzz import indel_ratio
 
@@ -101,49 +96,15 @@ def score_tags(ext: dict, osm: dict, cfg: ConflationConfig) -> tuple[int, dict]:
 
 
 def _line_prepare(t: pa.Table, cfg: ConflationConfig, side: int) -> pa.Table:
-    """Light row per feature — except date-line crossers and
-    oversized (continent-scale bbox) lines, which emit one row PER
-    SPLIT PART (same feature_id, part-local centroid/bbox/cell, the
-    part geometry in ``part_json``). ``coords_json`` always keeps
-    the original geometry so output rows carry the full feature;
-    matching parses ``part_json`` when non-empty.
-
-    Span splitting (r5): parts are cut to <= AXIS_CAP/2 base cells per
-    axis, so the replicate cover (part span + 2x band, where the band
-    includes the max PRIMARY part reach ~ span/sqrt(2)) stays within
-    partition.py's 2*AXIS_CAP+1 raise bound — self-splitting replaces
-    the manual cell_res retune the r4 raise demanded."""
-    from osm_merge_ray.geo.antimeridian import crosses_antimeridian, split_antimeridian
-    from osm_merge_ray.geo.split import split_long_line
-
-    span_limit = P.split_span_limit(cfg)
-    coords = t.column("coords_json").to_pylist()
-    take: list[int] = []
-    part_json: list[str] = []
-    lon_l: list[float] = []
-    lat_l: list[float] = []
-    bb: list[tuple] = []
-    for i, cj in enumerate(coords):
-        c = np.asarray(json.loads(cj), dtype=np.float64).reshape(-1, 2)
-        parts = (split_antimeridian(c)
-                 if crosses_antimeridian(c[:, 0]) else [c])
-        parts = [q for p_ in parts for q in split_long_line(p_, span_limit)]
-        whole = len(parts) == 1
-        for pc in parts:
-            take.append(i)
-            part_json.append("" if whole else json.dumps(pc.tolist()))
-            lon_l.append(float(pc[:, 0].mean()))
-            lat_l.append(float(pc[:, 1].mean()))
-            bb.append((pc[:, 0].min(), pc[:, 1].min(),
-                       pc[:, 0].max(), pc[:, 1].max()))
-    lon = np.asarray(lon_l)
-    lat = np.asarray(lat_l)
-    bbox = np.asarray(bb, dtype=np.float64).reshape(-1, 4)
-    n = len(take)
-    cell = C.lonlat_to_cell(lon, lat, cfg.cell_res)
-    t = t.take(np.asarray(take, dtype=np.int64))
-    ids = (t.column("feature_id") if "feature_id" in t.column_names
-           else t.column("osm_id"))
+    """Light row per feature — except date-line crossers and oversized
+    lines (bbox over ``partition.split_span_limit``), which emit one row
+    PER SPLIT PART (geo/coords.explode: part-local centroid/bbox/cell,
+    the part geometry in ``part_json``). ``coords_json`` keeps the
+    original geometry, so output rows carry the full feature."""
+    e = G.explode(t, P.split_span_limit(cfg))
+    n = len(e.take)
+    t = t.take(e.take)
+    ids = G.ids_of(t)
     version = (t.column("version") if "version" in t.column_names
                else pa.array(np.ones(n, dtype=np.int32), pa.int32()))
     refs = (t.column("refs_json") if "refs_json" in t.column_names
@@ -153,16 +114,10 @@ def _line_prepare(t: pa.Table, cfg: ConflationConfig, side: int) -> pa.Table:
         "version": version,
         "geom_type": t.column("geom_type"),
         "coords_json": t.column("coords_json"),
-        "part_json": pa.array(part_json, pa.string()),
+        "part_json": e.part_json,
         "props_json": t.column("props_json"),
         "refs_json": refs,
-        "lon": pa.array(lon, pa.float64()),
-        "lat": pa.array(lat, pa.float64()),
-        "x0": pa.array(bbox[:, 0], pa.float64()),
-        "y0": pa.array(bbox[:, 1], pa.float64()),
-        "x1": pa.array(bbox[:, 2], pa.float64()),
-        "y1": pa.array(bbox[:, 3], pa.float64()),
-        "cell": pa.array(cell, pa.int64()),
+        **G.light_columns(e.lon, e.lat, cfg.cell_res, e.bbox),
         "side": pa.array(np.full(n, side, dtype=np.int8), pa.int8()),
     })
 
@@ -224,14 +179,6 @@ def match_lines_group(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
     if n_p == 0:
         return pd.DataFrame(cols)
 
-    def lines(side_df: pd.DataFrame) -> list[np.ndarray]:
-        # split features match on their part (part_json set by
-        # _line_prepare), not the raw cross-map geometry
-        return [np.asarray(json.loads(p or c), dtype=np.float64).reshape(-1, 2)
-                for p, c in zip(side_df["part_json"], side_df["coords_json"])]
-
-    p_lines = lines(prim)
-    s_lines = lines(sec)
     p_props = [json.loads(x) for x in prim["props_json"]]
     s_props = [json.loads(x) for x in sec["props_json"]]
     p_ids = prim["feature_id"].to_numpy()
@@ -266,8 +213,9 @@ def match_lines_group(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
 
     # ---- batched geometry over ALL surviving pairs (no per-pair DP) ----
     if len(pi):
-        paxs, pays, plens = pack_polylines(p_lines)
-        saxs, says, slens = pack_polylines(s_lines)
+        # split features match on their part, not the raw cross-map geometry
+        paxs, pays, plens = G.pad(G.match_geometry(prim))
+        saxs, says, slens = G.pad(G.match_geometry(sec))
         d_all = batch_polyline_min_dist_m(paxs[pi], pays[pi], plens[pi],
                                           saxs[si], says[si], slens[si])
         gate = d_all <= cfg.distance_m

@@ -18,79 +18,39 @@ needed.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from osm_merge_ray.config import ConflationConfig
-from osm_merge_ray.geo import cells as C
-from osm_merge_ray.geo.polygons import bbox_of, intersection_area, shoelace_area
+from osm_merge_ray.geo import coords as G
+from osm_merge_ray.geo.polygons import intersection_area, shoelace_area
 from osm_merge_ray.stages import partition as P
 
 
 def _prep_polygons(t: pa.Table, cfg: ConflationConfig, side: int) -> pa.Table:
-    """feature table (coords_json rings) → light polygon rows with
-    centroid cell + bbox; polygons stay as JSON (small rings).
-
-    Oversized rings (bbox beyond AXIS_CAP/2 base cells per axis, the
-    same bound as the r5 line splitter) emit one row PER GRID PIECE
-    (geo/polygons.split_polygon_span): pieces partition the polygon, so
-    per-piece intersection areas SUM exactly to the whole-pair area —
-    the matcher emits piece partials and ``polygon_overlap_pairs``
-    reduces them per (id_a, id_b). ``area_full`` carries the whole
-    ring's area for the min-area ratio."""
-    from osm_merge_ray.geo.polygons import split_polygon_span
-
-    span_limit = P.split_span_limit(cfg)
-    coords = t.column("coords_json").to_pylist()
-    take: list[int] = []
-    part_json: list[str] = []
-    cx_l: list[float] = []
-    cy_l: list[float] = []
-    bb: list[tuple] = []
-    area_l: list[float] = []
-    for i, cj in enumerate(coords):
-        ring = np.asarray(json.loads(cj), dtype=np.float64).reshape(-1, 2)
-        area_full = abs(shoelace_area(ring))
-        parts = split_polygon_span(ring, span_limit)
-        whole = len(parts) == 1
-        for pr in parts:
-            take.append(i)
-            part_json.append("" if whole else json.dumps(pr.tolist()))
-            # (split rows blank coords_json below: the matcher always
-            # clips the PIECE, so shipping ~80 copies of the full ring
-            # through the shuffle would be dead weight — review r5)
-            cx_l.append(float(pr[:, 0].mean()))
-            cy_l.append(float(pr[:, 1].mean()))
-            bb.append(bbox_of(pr))
-            area_l.append(area_full)
-    cx = np.asarray(cx_l)
-    cy = np.asarray(cy_l)
-    bbox = np.asarray(bb, dtype=np.float64).reshape(-1, 4)
-    cell = C.lonlat_to_cell(cx, cy, cfg.cell_res)
-    t = t.take(np.asarray(take, dtype=np.int64))
-    n = len(take)
+    """feature table (coords_json rings) → light polygon rows (geometry
+    columns from geo/coords.py). An oversized ring emits one row PER
+    GRID PIECE (geo/polygons.split_polygon_span); pieces partition the
+    polygon, so piece intersection areas SUM exactly to the whole-pair
+    area, which ``polygon_overlap_pairs`` reduces per (id_a, id_b).
+    ``area_full`` carries the whole ring's area for the min-area ratio."""
+    e = G.explode(t, P.split_span_limit(cfg), ring=True)
+    area = np.fromiter((abs(shoelace_area(r)) for r in e.g.rows()),
+                       dtype=np.float64, count=t.num_rows)
+    t = t.take(e.take)
+    n = len(e.take)
     # split rows carry the piece geometry ONLY (coords_json blanked):
     # the matcher clips part_json when present, so replicating the
     # full original ring onto every piece row is pure shuffle weight
-    cj = pa.array(
-        ["" if pj else c for pj, c in
-         zip(part_json, t.column("coords_json").to_pylist())],
-        pa.string())
+    cj = pc.if_else(pc.equal(e.part_json, ""), t.column("coords_json"), "")
     return pa.table({
         "feature_id": t.column("feature_id").cast(pa.int64()),
         "coords_json": cj,
-        "part_json": pa.array(part_json, pa.string()),
-        "area_full": pa.array(area_l, pa.float64()),
-        "lon": pa.array(cx, pa.float64()),
-        "lat": pa.array(cy, pa.float64()),
-        "x0": pa.array(bbox[:, 0], pa.float64()),
-        "y0": pa.array(bbox[:, 1], pa.float64()),
-        "x1": pa.array(bbox[:, 2], pa.float64()),
-        "y1": pa.array(bbox[:, 3], pa.float64()),
-        "cell": pa.array(cell, pa.int64()),
+        "part_json": e.part_json,
+        "area_full": pa.array(area[e.take], pa.float64()),
+        **G.light_columns(e.lon, e.lat, cfg.cell_res, e.bbox),
         "side": pa.array(np.full(n, side, dtype=np.int8), pa.int8()),
     })
 
@@ -111,44 +71,27 @@ def polygon_overlap_pairs(primary_ds, secondary_ds, cfg: ConflationConfig | None
         area_b). Unsplit inputs emit exactly one partial per pair, so
         the finalize step below is a no-op reduction for them."""
         prim, sec, pi, si = P.bucket_pairs(df, 0.0)
-        cols = {"id_a": [], "id_b": [], "part_area": [],
-                "area_a": [], "area_b": []}
+        pb = prim[["x0", "y0", "x1", "y1"]].to_numpy()
+        sb = sec[["x0", "y0", "x1", "y1"]].to_numpy()
+        # vectorized bbox-overlap gate before the exact clip
+        ok = ((pb[pi, 0] <= sb[si, 2]) & (sb[si, 0] <= pb[pi, 2])
+              & (pb[pi, 1] <= sb[si, 3]) & (sb[si, 1] <= pb[pi, 3]))
+        pi, si = pi[ok], si[ok]
+        area = np.zeros(len(pi))
         if len(pi):
-            pb = prim[["x0", "y0", "x1", "y1"]].to_numpy()
-            sb = sec[["x0", "y0", "x1", "y1"]].to_numpy()
-            # vectorized bbox-overlap gate before the exact clip
-            ok = ((pb[pi, 0] <= sb[si, 2]) & (sb[si, 0] <= pb[pi, 2])
-                  & (pb[pi, 1] <= sb[si, 3]) & (sb[si, 1] <= pb[pi, 3]))
-            pi, si = pi[ok], si[ok]
-            if len(pi):
-                def rings(side_df: pd.DataFrame) -> list[np.ndarray]:
-                    # clip the PIECE when present, the full ring otherwise
-                    return [np.asarray(json.loads(pj or cj),
-                                       dtype=np.float64).reshape(-1, 2)
-                            for pj, cj in zip(side_df["part_json"],
-                                              side_df["coords_json"])]
-
-                p_rings = rings(prim)
-                s_rings = rings(sec)
-                p_ids = prim["feature_id"].to_numpy()
-                s_ids = sec["feature_id"].to_numpy()
-                p_area = prim["area_full"].to_numpy()
-                s_area = sec["area_full"].to_numpy()
-                for i, j in zip(pi, si):
-                    area = intersection_area(p_rings[i], s_rings[j])
-                    if area <= 0:
-                        continue
-                    cols["id_a"].append(int(p_ids[i]))
-                    cols["id_b"].append(int(s_ids[j]))
-                    cols["part_area"].append(area)
-                    cols["area_a"].append(float(p_area[i]))
-                    cols["area_b"].append(float(s_area[j]))
+            # clip the PIECE when present, the full ring otherwise
+            p_rings = G.match_geometry(prim).rows()
+            s_rings = G.match_geometry(sec).rows()
+            area = np.array([intersection_area(p_rings[i], s_rings[j])
+                             for i, j in zip(pi, si)])
+        hit = area > 0
+        pi, si = pi[hit], si[hit]
         return pd.DataFrame({
-            "id_a": pd.array(cols["id_a"], dtype=np.int64),
-            "id_b": pd.array(cols["id_b"], dtype=np.int64),
-            "part_area": pd.array(cols["part_area"], dtype=np.float64),
-            "area_a": pd.array(cols["area_a"], dtype=np.float64),
-            "area_b": pd.array(cols["area_b"], dtype=np.float64),
+            "id_a": prim["feature_id"].to_numpy(np.int64)[pi],
+            "id_b": sec["feature_id"].to_numpy(np.int64)[si],
+            "part_area": area[hit],
+            "area_a": prim["area_full"].to_numpy(np.float64)[pi],
+            "area_b": sec["area_full"].to_numpy(np.float64)[si],
         })
 
     # each (piece_a, piece_b) pair is scored in exactly one (cell, salt)

@@ -51,7 +51,9 @@ Light-row contract: ``lon, lat`` (centroid), ``cell:int64`` (centroid
 cell at ``cfg.cell_res``), ``side:int8`` (0 primary, 1 secondary), one id
 column (``feature_id:int64`` or ``image_id:string``) and, for extended
 geometry, ``x0, y0, x1, y1`` (bbox, degrees) and, where features may be
-split, ``part_json`` (non-empty on split parts).
+split, ``part_json`` (non-empty on split parts). For lines, polygons and
+POIs these geometry columns are written and read only through
+``geo/coords.py``, the geometry codec (centroid = sequential vertex mean).
 """
 
 from __future__ import annotations

@@ -24,9 +24,11 @@ import json
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from osm_merge_ray.config import ConflationConfig
 from osm_merge_ray.geo import cells as C
+from osm_merge_ray.geo import coords as G
 from osm_merge_ray.geo.distance import haversine_m
 from osm_merge_ray.ops import first_in_groups
 from osm_merge_ray.stages import partition as P
@@ -39,27 +41,15 @@ ANALYZE_KEYS = ("building", "name", "amenity", "landuse", "cuisine", "tourism", 
 def _poi_prepare(t: pa.Table, cfg: ConflationConfig, side: int) -> pa.Table:
     """Feature table → light POI rows: centroid, cell, tag JSON, the
     node/way flag (geom_type Point vs LineString/Polygon)."""
-    coords = t.column("coords_json").to_pylist()
-    gts = t.column("geom_type").to_pylist()
-    lon = np.empty(len(coords))
-    lat = np.empty(len(coords))
-    is_node = np.empty(len(coords), dtype=bool)
-    for i, (cj, gt) in enumerate(zip(coords, gts)):
-        c = np.asarray(json.loads(cj), dtype=np.float64).reshape(-1, 2)
-        # centroid for ways/polygons before distance (conflatePOI.py:112-115)
-        lon[i], lat[i] = c.mean(axis=0)
-        is_node[i] = gt == "Point"
-    cell = C.lonlat_to_cell(lon, lat, cfg.cell_res)
-    ids = (t.column("feature_id") if "feature_id" in t.column_names
-           else t.column("osm_id"))
+    ids = G.ids_of(t)
+    # centroid for ways/polygons before distance (conflatePOI.py:112-115)
+    lon, lat = G.centroids(G.parse(t.column("coords_json"), ids))
     return pa.table({
         "feature_id": ids.cast(pa.int64()),
         "props_json": t.column("props_json"),
-        "lon": pa.array(lon, pa.float64()),
-        "lat": pa.array(lat, pa.float64()),
-        "cell": pa.array(cell, pa.int64()),
-        "is_node": pa.array(is_node),
-        "side": pa.array(np.full(len(coords), side, dtype=np.int8), pa.int8()),
+        **G.light_columns(lon, lat, cfg.cell_res),
+        "is_node": pc.fill_null(pc.equal(t.column("geom_type"), "Point"), False),
+        "side": pa.array(np.full(t.num_rows, side, dtype=np.int8), pa.int8()),
     })
 
 

@@ -134,6 +134,64 @@ def test_end_to_end_reference_user_journey(ray_session, tmp_path):
     assert np_["name"] == "Lost Lake Road"
 
 
+
+def test_pipeline_matches_conflate_lines(ray_session, tmp_path):
+    """`pipeline` over a one-task tree (GeoJSON primary, `.osm`
+    secondary of the same stem) writes the same decisions as
+    `conflate-lines` on the same two files: one suffix-dispatched
+    feature reader serves both commands."""
+    import json
+
+    import pandas as pd
+
+    def line(lon, lat):
+        return [[lon + k * 1e-4, lat] for k in range(5)]
+
+    prim = tmp_path / "prim"
+    sec = tmp_path / "sec"
+    prim.mkdir()
+    sec.mkdir()
+    feats = [{"type": "Feature",
+              "geometry": {"type": "LineString", "coordinates": line(-105.3, 39.3 + i * 1e-3)},
+              "properties": {"name": f"Bear Creek Road {i}", "ref:usfs": f"FR 50{i}.1",
+                             "highway": "track"}}
+             for i in range(4)]
+    (prim / "task-1.geojson").write_text(
+        json.dumps({"type": "FeatureCollection", "features": feats}))
+    off = 3.0 / 111194.9
+    osm = ["<?xml version='1.0'?>", "<osm version='0.6'>"]
+    nid = 0
+    for w in range(3):  # OSM ways under primaries 0-2; primary 3 is new
+        refs = []
+        for lon, lat in line(-105.3, 39.3 + w * 1e-3 + off):
+            nid += 1
+            refs.append(nid)
+            osm.append(f"<node id='{nid}' lat='{lat}' lon='{lon}'/>")
+        osm.append(f"<way id='{4240 + w}' version='2'>"
+                   + "".join(f"<nd ref='{r}'/>" for r in refs)
+                   + f"<tag k='name' v='Bear Creek Road {w}'/>"
+                   + f"<tag k='ref:usfs' v='FS 50{w}.1'/>"
+                   + "<tag k='highway' v='track'/></way>")
+    osm.append("</osm>")
+    (sec / "task-1.osm").write_text("\n".join(osm))
+
+    out_p = tmp_path / "out_pipeline"
+    out_c = tmp_path / "out_conflate"
+    assert cli_main(["pipeline", "--primary-dir", str(prim), "--secondary-dir", str(sec),
+                     "-o", str(out_p), "--type", "none"]) == 0
+    assert cli_main(["conflate-lines", "-p", str(prim / "task-1.geojson"),
+                     "-s", str(sec / "task-1.osm"), "-o", str(out_c)]) == 0
+
+    def decisions(d):
+        df = pd.read_parquet(d).sort_values("feature_id").reset_index(drop=True)
+        return df[sorted(df.columns)]
+
+    got, want = decisions(out_p / "task-1"), decisions(out_c)
+    assert len(want) == 4
+    assert want["decision"].tolist() == ["merged", "merged", "merged", "new"]
+    assert want["matched_id"].tolist() == [4240, 4241, 4242, -1]
+    pd.testing.assert_frame_equal(got, want)
+
 def test_cli_dedup_cluster_and_pack(ray_session, tmp_path):
     import pandas as pd
     import pyarrow as pa

@@ -173,3 +173,180 @@ def test_fuzz_batch_exact_beyond_width_cap():
     # explicit small cap: still exact via fallback, never truncated
     bl2 = F.batch_levenshtein(a, b, maxlen=16)
     assert list(bl2) == list(bl)
+
+
+# ---- the light-row geometry codec (geo/coords.py) -------------------------
+
+def _leaves(v):
+    """Per-row reference parse: json.loads, then the numeric leaves in order."""
+    if isinstance(v, list):
+        for x in v:
+            yield from _leaves(x)
+    else:
+        yield float(v)
+
+
+def _ref_xy(s: str) -> np.ndarray:
+    import json
+
+    return np.asarray(list(_leaves(json.loads(s))), dtype=np.float64).reshape(-1, 2)
+
+
+def _rand_line(rng, n, x0=-105.0, y0=39.0, step=1e-3):
+    return np.column_stack([x0 + np.cumsum(rng.normal(0, step, n)),
+                            y0 + np.cumsum(rng.normal(0, step, n))])
+
+
+def _codec_cases():
+    import json
+
+    rng = np.random.default_rng(11)
+    ring = _rand_line(rng, 6).tolist()
+    return {
+        "point": json.dumps(_rand_line(rng, 1)[0].tolist()),
+        "linestring": json.dumps(_rand_line(rng, 9).tolist()),
+        "multilinestring": json.dumps([_rand_line(rng, 3).tolist(),
+                                       _rand_line(rng, 5).tolist()]),
+        "polygon_ring": json.dumps([ring + ring[:1]]),
+        "antimeridian": json.dumps([[179.9871236, -16.21], [-179.93, -16.105],
+                                    [-179.5000001, -16.0]]),
+        "continent": json.dumps(_rand_line(rng, 40, -120.0, 45.0, 1.5).tolist()),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_codec_cases()))
+def test_coords_parse_bit_equal_to_json_loads(case):
+    import pyarrow as pa
+
+    from osm_merge_ray.geo import coords as G
+
+    cases = _codec_cases()
+    s = cases[case]
+    g = G.parse(pa.array([s]), [0])
+    ref = _ref_xy(s)
+    assert g.off.tolist() == [0, len(ref)]
+    assert np.array_equal(g.xy.view(np.int64), ref.view(np.int64))
+    # and inside a mixed batch (offsets line up row by row)
+    batch = list(cases.values())
+    gb = G.parse(pa.array(batch), list(range(len(batch))))
+    k = batch.index(s)
+    assert np.array_equal(gb.row(k).view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 50])
+def test_coords_centroid_is_sequential_vertex_mean(n):
+    """The one centroid rule: bit-equal to ``c.mean(axis=0)`` (sequential
+    over vertices), also in a batch of mixed lengths; the pairwise
+    ``c[:, 0].mean()`` is not (from 8 vertices on)."""
+    from osm_merge_ray.geo import coords as G
+
+    rng = np.random.default_rng(n)
+    lines = [_rand_line(rng, n, *rng.uniform(-170, 170, 2), 0.7) for _ in range(300)]
+    lines += [_rand_line(rng, m) for m in (1, 3, 60, 2)]
+    lon, lat = G.centroids(G.from_arrays(lines))
+    ref = np.array([c.mean(axis=0) for c in lines])
+    assert np.array_equal(lon.view(np.int64), ref[:, 0].view(np.int64))
+    assert np.array_equal(lat.view(np.int64), ref[:, 1].view(np.int64))
+    if n >= 8:
+        pairwise = np.array([c[:, 0].mean() for c in lines[:300]])
+        assert not np.array_equal(pairwise, lon[:300])
+
+
+@pytest.mark.parametrize("ring", [False, True], ids=["lines", "rings"])
+def test_coords_explode_parts_equal_splitters(ring):
+    """Only rows the splitters cut emit parts; each part row carries the
+    splitter's ``part_json`` byte for byte and the part's own centroid
+    and bbox; whole rows keep ``part_json`` empty."""
+    import json
+
+    import pyarrow as pa
+
+    from osm_merge_ray.geo import coords as G
+    from osm_merge_ray.geo.antimeridian import split_antimeridian
+    from osm_merge_ray.geo.polygons import split_polygon_span
+    from osm_merge_ray.geo.split import split_long_line
+
+    lim = 0.35
+    rng = np.random.default_rng(5)
+    if ring:
+        def box(x, y, w):
+            return [[x, y], [x + w, y], [x + w, y + w], [x, y + w], [x, y]]
+        geoms = [box(-105.0, 39.0, 1e-3), box(10.0, 50.0, 1.2),
+                 box(-60.0, -20.0, 0.2), box(100.0, 1.0, 0.9)[::-1]]
+
+        def split(c):
+            return split_polygon_span(c, lim)
+    else:
+        geoms = [_rand_line(rng, 5).tolist(),
+                 [[179.9, -16.2], [-179.9, -16.1], [-179.8, -16.0]],
+                 _rand_line(rng, 30, -120.0, 45.0, 0.3).tolist(),
+                 [[0.0, 0.0], [2.0, 0.0]], _rand_line(rng, 12).tolist(),
+                 [[179.9996, -16.18], [179.9999, -16.18], [-180.0, -16.18]]]
+
+        def split(c):
+            return [q for p in split_antimeridian(c) for q in split_long_line(p, lim)]
+    t = pa.table({"feature_id": np.arange(len(geoms)),
+                  "coords_json": [json.dumps(c) for c in geoms]})
+    e = G.explode(t, lim, ring=ring)
+    want_take, want_json, want_c, want_bb = [], [], [], []
+    for i, c in enumerate(geoms):
+        c = np.asarray(c, dtype=np.float64)
+        parts = split(c)
+        for p in parts:
+            want_take.append(i)
+            want_json.append("" if len(parts) == 1 else json.dumps(p.tolist()))
+            want_c.append(p.mean(axis=0))
+            want_bb.append([p[:, 0].min(), p[:, 1].min(), p[:, 0].max(), p[:, 1].max()])
+    assert len(set(want_take)) < len(want_take)  # some rows did split
+    assert e.take.tolist() == want_take
+    assert e.part_json.to_pylist() == want_json
+    assert np.array_equal(np.column_stack([e.lon, e.lat]), np.array(want_c))
+    assert np.array_equal(e.bbox, np.array(want_bb))
+
+
+def test_coords_pad_equals_list_pack():
+    """``pad`` equals the padded arrays the old per-line loop built."""
+    import json
+
+    import pyarrow as pa
+
+    from osm_merge_ray.geo import coords as G
+
+    rng = np.random.default_rng(2)
+    lines = [_rand_line(rng, m) for m in (5, 1, 17, 2, 5)]
+    xs, ys, lens = G.pad(G.parse(pa.array([json.dumps(c.tolist()) for c in lines])))
+    m = max(len(c) for c in lines)
+    ref_x = np.zeros((len(lines), m))
+    ref_y = np.zeros((len(lines), m))
+    for i, c in enumerate(lines):
+        ref_x[i, :len(c)] = c[:, 0]
+        ref_y[i, :len(c)] = c[:, 1]
+    assert lens.tolist() == [len(c) for c in lines]
+    assert np.array_equal(xs, ref_x) and np.array_equal(ys, ref_y)
+
+
+@pytest.mark.parametrize("geom", [None, "[]"], ids=["null", "empty"])
+@pytest.mark.parametrize("prepare", ["lines", "polygons", "pois"])
+def test_prepares_reject_null_or_empty_geometry(prepare, geom):
+    """A null ``coords_json`` or ``[]`` (a GeoJSON ``"geometry": null``)
+    fails with a ValueError naming the column and the feature ids —
+    not a TypeError, a zero-size reduction, or a silent NaN centroid."""
+    import pyarrow as pa
+
+    from osm_merge_ray.config import ConflationConfig
+    from osm_merge_ray.stages.lines import _line_prepare
+    from osm_merge_ray.stages.overlap import _prep_polygons
+    from osm_merge_ray.stages.poi import _poi_prepare
+
+    fn = {"lines": _line_prepare, "polygons": _prep_polygons,
+          "pois": _poi_prepare}[prepare]
+    ok = "[[-105.0, 39.0], [-105.001, 39.0], [-105.001, 39.001], [-105.0, 39.0]]"
+    t = pa.table({
+        "feature_id": pa.array([3, 7, 11, 12], pa.int64()),
+        "geom_type": ["LineString"] * 4,
+        "coords_json": pa.array([ok, geom, ok, geom], pa.string()),
+        "props_json": ["{}"] * 4,
+    })
+    with pytest.raises(ValueError, match=r"coords_json: null or empty geometry "
+                                         r"in 2 row\(s\); feature ids \[7, 12\]"):
+        fn(t, ConflationConfig(cell_res=12), 0)

@@ -276,8 +276,8 @@ def test_lines_engine_matches_bruteforce_oracle(ray_session):
     semantically invisible."""
     import json
 
-    from osm_merge_ray.geo.distance import (
-        batch_slope_angle_offset2, pack_polylines, polyline_min_dist_m)
+    from osm_merge_ray.geo import coords as G
+    from osm_merge_ray.geo.distance import batch_slope_angle_offset2, polyline_min_dist_m
     from osm_merge_ray.stages.lines import conflate_lines, score_tags
 
     cfg, prim_rows, sec_rows = _adversarial_lines()
@@ -294,8 +294,8 @@ def test_lines_engine_matches_bruteforce_oracle(ray_session):
     s_ids = np.array([r["feature_id"] for r in sec_rows])
 
     def slope_angle_1(la, lb):
-        ax, ay, ln_a = pack_polylines([la])
-        bx, by, ln_b = pack_polylines([lb])
+        ax, ay, ln_a = G.pad(G.from_arrays([la]))
+        bx, by, ln_b = G.pad(G.from_arrays([lb]))
         sl, an = batch_slope_angle_offset2(ax, ay, ln_a, bx, by, ln_b)
         return float(sl[0]), float(an[0])
 
