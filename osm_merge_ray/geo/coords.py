@@ -181,8 +181,9 @@ def explode(t: pa.Table, span_limit: float, ring: bool = False) -> Exploded:
     counts[flag] = [len(ps) for ps in pieces]
     take = np.repeat(np.arange(len(flag)), counts)
     # a flagged row takes centroid + bbox from its part(s) even when it
-    # stays whole: a crosser ending on the meridian comes back as one
-    # part with that vertex at the other sign
+    # stays whole, and carries the part whenever it differs from the
+    # row: a crosser ending on the meridian comes back as one part with
+    # that vertex at the other sign, which the sinks must match too
     slots = np.flatnonzero(flag[take])
     parts = from_arrays([p for ps in pieces for p in ps])
     lon, lat = (c[take] for c in centroids(g))
@@ -190,6 +191,8 @@ def explode(t: pa.Table, span_limit: float, ring: bool = False) -> Exploded:
     bbox = bbox[take]
     bbox[slots] = bboxes(parts)
     part_json = np.full(len(take), "", dtype=object)
-    part_json[slots] = [json.dumps(p.tolist()) if len(ps) > 1 else ""
-                        for ps in pieces for p in ps]
+    part_json[slots] = [
+        "" if len(ps) == 1 and np.array_equal(p, g.row(i), equal_nan=True)
+        else json.dumps(p.tolist())
+        for i, ps in zip(np.flatnonzero(flag), pieces) for p in ps]
     return Exploded(g, take, pa.array(part_json, pa.string()), lon, lat, bbox)

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from osm_merge_ray.config import ConflationConfig
 from osm_merge_ray.geo.mercator import TileGrid
@@ -119,6 +120,28 @@ def _frag_ids(paths: list[str]) -> np.ndarray:
     return splitmix64(hash64_str(paths)).view(np.int64)
 
 
+def add_frag(t: pa.Table, remote: bool, known: frozenset) -> pa.Table:
+    """Replace a block's ``path`` column (Ray ``include_paths``) with the
+    int64 ``frag`` lineage id of each row's file. The column is
+    dictionary-encoded, so ``_lineage_path`` (a ``realpath`` syscall) and
+    the FNV hash run once per distinct file, not once per row; the ids
+    are gathered back through the indices. Raises on any id missing from
+    ``known``, the run-level fragment map."""
+    enc = pc.dictionary_encode(t.column("path")).combine_chunks()
+    paths = [_lineage_path(p, remote) for p in enc.dictionary.to_pylist()]
+    ids = _frag_ids(paths)
+    missing = {int(i) for i in ids} - known
+    if missing:  # fail LOUDLY instead of writing dangling lineage
+        bad = sorted({p for p, i in zip(paths, ids) if int(i) in missing})[:3]
+        raise ValueError(
+            "read_parquet_with_lineage: per-row fragment path(s) "
+            f"{bad} not present in the run-level fragment map — "
+            "path normalization mismatch between Ray include_paths "
+            "and pyarrow.dataset files")
+    t = t.drop_columns(["path"])
+    return t.append_column("frag", pa.array(ids[enc.indices.to_numpy()], pa.int64()))
+
+
 def read_parquet_with_lineage(path: str):
     """Read a parquet directory with a per-row ``frag`` column — a
     stable int64 id of the source FILE (splitmix64 of the path's FNV
@@ -134,24 +157,9 @@ def read_parquet_with_lineage(path: str):
     remote = "://" in path and not path.startswith("file://")
     files = sorted({_lineage_path(f, remote) for f in pads.dataset(path).files})
     fmap = {int(i): p for i, p in zip(_frag_ids(files), files)}
-    known = frozenset(fmap)  # file-count sized, cheap closure broadcast
-
-    def add_frag(t: pa.Table) -> pa.Table:
-        paths = [_lineage_path(p, remote) for p in t.column("path").to_pylist()]
-        ids = _frag_ids(paths)
-        missing = {int(i) for i in ids} - known
-        if missing:  # fail LOUDLY instead of writing dangling lineage
-            bad = sorted({p for p, i in zip(paths, ids)
-                          if int(i) in missing})[:3]
-            raise ValueError(
-                "read_parquet_with_lineage: per-row fragment path(s) "
-                f"{bad} not present in the run-level fragment map — "
-                "path normalization mismatch between Ray include_paths "
-                "and pyarrow.dataset files")
-        t = t.drop_columns(["path"])
-        return t.append_column("frag", pa.array(ids, pa.int64()))
-
-    return ds.map_batches(add_frag, batch_format="pyarrow"), fmap
+    # file-count sized: cheap to ship with every task
+    kwargs = {"remote": remote, "known": frozenset(fmap)}
+    return ds.map_batches(add_frag, batch_format="pyarrow", fn_kwargs=kwargs), fmap
 
 
 def run_checkpointed(primary_ds, secondary_ds, out_dir: str,
@@ -163,6 +171,13 @@ def run_checkpointed(primary_ds, secondary_ds, out_dir: str,
     atomically with a manifest record (state/checkpoint.py); on resume,
     finished buckets are filtered out of the shuffle input *before* the
     exchange, so their rows are never shipped or rescored.
+
+    The first run records its partition plan in ``_manifest/run.json``
+    with the config fingerprint and input row count. A later run on the
+    same ``out_dir`` passes that plan to ``shuffle_match`` (no planning
+    pass; rows land in the buckets the first run used) and refuses a
+    changed config, partition scheme or input row count, or an
+    unreadable ``run.json``, before anything is written.
 
     Returns summary metrics. ``out_dir`` must be shared storage on a
     multi-node cluster.
@@ -190,10 +205,11 @@ def run_checkpointed(primary_ds, secondary_ds, out_dir: str,
 
     union = CF.tag_side(primary_ds, 0).union(CF.tag_side(secondary_ds, 1))
     metrics, plan = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
-                                    match_and_write, skip_buckets=done)
+                                    match_and_write, skip_buckets=done,
+                                    plan=CK.run_plan(out_dir))
     # refuse resume under a changed config, partition scheme or input —
     # before the lazy exchange runs, so a refused run writes nothing
-    CK.check_run_manifest(out_dir, cfg, input_rows=plan.rows)
+    CK.check_run_manifest(out_dir, cfg, plan)
     if fragment_map is not None:
         # run-level frag-id → input-file map (resolves the per-bucket
         # input_fragments lineage the sink records)

@@ -466,7 +466,7 @@ def bucket_pairs(df: pd.DataFrame, band_m: float):
 
 
 def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
-                  match_fn, skip_buckets=()):
+                  match_fn, skip_buckets=(), plan: Plan | None = None):
     """The one-shuffle spine over a side-tagged union of LIGHT rows
     (~100 B/row): materialize → one planning pass (``plan_partition``)
     → tag/replicate → bucket groupby → ``match_fn`` per bucket.
@@ -485,9 +485,18 @@ def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
 
     Rows of ``skip_buckets`` (finished checkpoint buckets) are dropped
     before the exchange, so they are never shipped or rescored.
+
+    ``plan`` (a checkpoint resume) is the ``Plan`` an earlier run computed
+    over the same input: its salts, reach and split flag are used as they
+    are and ``plan_partition`` is skipped, so the rows land in the buckets
+    of that run; only ``rows`` is recounted, from the materialized blocks'
+    metadata.
     """
     light = light.materialize()
-    plan = plan_partition(light, cfg)
+    if plan is None:
+        plan = plan_partition(light, cfg)
+    else:
+        plan = plan._replace(rows=light.count())
     p = light.map_batches(make_tag_primary(cfg, plan.salts), batch_format="pyarrow",
                           batch_size=cfg.batch_size)
     s = light.map_batches(

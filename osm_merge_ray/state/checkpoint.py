@@ -11,9 +11,13 @@ file-tree fan-out of contrib/update.sh). Engine design:
 * alongside, ``out_dir/_manifest/bucket=<b>.json`` records lineage
   (bucket id, distinct cells, row count, input row count) + metrics
   (wall seconds) — written only after the data rename succeeds;
+* ``out_dir/_manifest/run.json`` pins the config fingerprint, the input
+  row count and the partition plan (hot-cell salts, primary reach,
+  split-part flag) of the first run, written before its exchange;
 * resume = read the manifest dir, broadcast the finished-bucket set,
   and filter those buckets out of the shuffle input before the
-  groupby: finished cells are never rescored.
+  groupby: finished cells are never rescored. The resume buckets its
+  rows with the recorded plan instead of planning again.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from osm_merge_ray.stages.partition import Plan
 
 
 def manifest_dir(out_dir: str) -> str:
@@ -44,23 +50,55 @@ def config_fingerprint(cfg) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def check_run_manifest(out_dir: str, cfg, input_rows: int | None = None) -> None:
-    """Write (first run) or validate (resume) the run-level manifest.
+def _read_run(out_dir: str) -> dict | None:
+    """The run-level manifest ``run.json``, or None before the first run.
+    A file that exists but does not parse refuses: it is what pins the
+    config, the input and the partition plan of the finished buckets."""
+    path = os.path.join(manifest_dir(out_dir), "run.json")
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            rec = json.load(fh)
+        if not isinstance(rec, dict):
+            raise ValueError("not a JSON object")
+    except (ValueError, OSError) as e:  # JSONDecodeError is a ValueError
+        raise ValueError(
+            f"checkpoint run manifest {path!r} is unreadable ({e}); the "
+            "config, input and partition plan of its finished buckets are "
+            "unknown — use a fresh out_dir") from e
+    return rec
+
+
+def run_plan(out_dir: str) -> Plan | None:
+    """The partition plan the out_dir's first run recorded in ``run.json``
+    (``rows`` is its ``input_rows``), or None when there is no
+    ``run.json`` or it predates recorded plans."""
+    rec = _read_run(out_dir)
+    if rec is None or "salts" not in rec:
+        return None
+    return Plan({int(c): int(k) for c, k in rec["salts"].items()},
+                float(rec["reach_m"]), bool(rec["split_parts"]),
+                rec["input_rows"])
+
+
+def check_run_manifest(out_dir: str, cfg, plan: Plan) -> None:
+    """Write (first run) or validate (resume) the run-level manifest
+    ``run.json``: the config fingerprint, the input row count
+    (``plan.rows``, light rows of both sides — the cheap input
+    fingerprint) and the partition plan (``plan``'s salts, reach and
+    split flag), which a resume reads back with ``run_plan``.
 
     A resume against an out_dir produced under a DIFFERENT config
     (num_buckets, cell_res, thresholds...), partition scheme or INPUT would
     silently skip buckets computed under incompatible partitioning and
-    emit mixed, corrupt output — refuse instead. ``input_rows`` (total
-    light rows, both sides) is the cheap input fingerprint.
+    emit mixed, corrupt output — refuse instead. An unreadable ``run.json``
+    refuses too.
     """
     fp = config_fingerprint(cfg)
     path = os.path.join(manifest_dir(out_dir), "run.json")
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                rec = json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            rec = {}
+    rec = _read_run(out_dir)
+    if rec is not None:
         prior = rec.get("config_fingerprint")
         if prior is not None and prior != fp:
             raise ValueError(
@@ -70,18 +108,19 @@ def check_run_manifest(out_dir: str, cfg, input_rows: int | None = None) -> None
                 "this run — use a fresh out_dir or delete the old one"
             )
         prior_rows = rec.get("input_rows")
-        if (input_rows is not None and prior_rows is not None
-                and prior_rows != input_rows):
+        if prior_rows is not None and prior_rows != plan.rows:
             raise ValueError(
                 f"checkpoint dir {out_dir!r} was written for a different "
-                f"input ({prior_rows} rows != {input_rows}); finished buckets "
+                f"input ({prior_rows} rows != {plan.rows}); finished buckets "
                 "would not cover this input — use a fresh out_dir"
             )
         return
     os.makedirs(manifest_dir(out_dir), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"config_fingerprint": fp, "input_rows": input_rows,
+        json.dump({"config_fingerprint": fp, "input_rows": plan.rows,
+                   "salts": {str(c): k for c, k in plan.salts.items()},
+                   "reach_m": plan.reach_m, "split_parts": plan.split_parts,
                    "ts": time.time()}, fh)
     os.replace(tmp, path)
 

@@ -173,6 +173,26 @@ def test_meridian_conflation_decisions(meridian_sets):
     assert got0 == json.loads(tp.column("coords_json")[0].as_py())
 
 
+def test_meridian_endpoint_crosser_light_row_carries_part(meridian_sets):
+    """Primary 2 crosses and ends exactly on the meridian, so the
+    splitter returns ONE part with that vertex at +180. Its light row
+    carries the part in ``part_json``, so the sinks match the geometry
+    its bbox describes, not the raw vertices with their 360 deg jump."""
+    from osm_merge_ray.stages.lines import _line_prepare
+
+    tp, _ = meridian_sets
+    light = _line_prepare(tp, CFG, 0).to_pandas()
+    row = light[light["feature_id"] == 2]
+    assert len(row) == 1
+    raw = np.asarray(json.loads(tp.column("coords_json")[2].as_py()))
+    (part,) = split_antimeridian(raw)
+    assert not np.array_equal(part, raw)
+    got = np.asarray(json.loads(row["part_json"].iloc[0]))
+    assert np.array_equal(got, part)
+    assert row[["x0", "y0", "x1", "y1"]].to_numpy()[0].tolist() == [
+        part[:, 0].min(), part[:, 1].min(), part[:, 0].max(), part[:, 1].max()]
+
+
 def test_meridian_matches_bruteforce_distances(meridian_sets):
     """Engine matched_id/dist == the partition-blind brute-force oracle
     for every primary that has an in-band secondary."""

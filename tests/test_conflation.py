@@ -147,6 +147,11 @@ def test_checkpoint_resume_equals_fresh_run(ray_session, sides, tmp_path):
     pd.testing.assert_frame_equal(_norm(fresh), _norm(resumed))
 
 
+def _snapshot(d: str) -> dict:
+    return {os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
+            for r, _, fs in os.walk(d) for f in fs}
+
+
 def test_checkpoint_refuses_changed_config(ray_session, sides, tmp_path):
     """ADVICE r1: resuming against an out_dir written under a different
     ConflationConfig must refuse, not silently mix partitionings."""
@@ -157,16 +162,12 @@ def test_checkpoint_refuses_changed_config(ray_session, sides, tmp_path):
     run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d,
                      ConflationConfig(cell_res=15, num_buckets=16, hot_cell_rows=200))
 
-    def snapshot():
-        return {os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
-                for r, _, fs in os.walk(d) for f in fs}
-
-    before = snapshot()
+    before = _snapshot(d)
     with pytest.raises(ValueError, match="different"):
         run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d,
                          ConflationConfig(cell_res=15, num_buckets=8, hot_cell_rows=200))
     # refused before the exchange: not one file written, replaced or removed
-    assert snapshot() == before
+    assert _snapshot(d) == before
 
 
 def test_bucket_rewrite_unfinishes_bucket_before_removing_rows(tmp_path, monkeypatch):
@@ -214,6 +215,111 @@ def test_checkpoint_refuses_older_partition_scheme(ray_session, sides, tmp_path,
     fp = CK.config_fingerprint(cfg)
     monkeypatch.setattr(P, "PARTITION_SCHEME", P.PARTITION_SCHEME + 1)
     assert CK.config_fingerprint(cfg) != fp
+
+
+#: a config with hot cells at N rows, so the recorded plan has salts
+CKPT_CFG = ConflationConfig(cell_res=15, num_buckets=16, hot_cell_rows=5)
+
+
+@pytest.fixture(scope="module")
+def fresh_ckpt(ray_session, sides, tmp_path_factory):
+    """A finished checkpoint dir under ``CKPT_CFG`` and its output."""
+    tp, ts = sides
+    d = str(tmp_path_factory.mktemp("ckpt") / "fresh")
+    run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d, CKPT_CFG)
+    return d, CK.read_output(d).to_pandas()
+
+
+def _lose_buckets(fresh_dir: str, d: str) -> str:
+    """Copy a finished dir to ``d`` and drop every other bucket, as a
+    killed run leaves it."""
+    shutil.copytree(fresh_dir, d)
+    for b in sorted(CK.finished_buckets(d))[::2]:
+        shutil.rmtree(os.path.join(d, f"bucket={b}"))
+        os.remove(os.path.join(CK.manifest_dir(d), f"bucket={b}.json"))
+    return d
+
+
+def test_checkpoint_run_manifest_records_plan(ray_session, sides, fresh_ckpt):
+    """run.json holds the fresh run's partition plan; the salts read
+    back with int cell keys after the JSON round trip."""
+    from osm_merge_ray.stages import conflate as CF
+    from osm_merge_ray.stages import partition as P
+
+    tp, ts = sides
+    union = CF.tag_side(rd.from_arrow(tp), 0).union(CF.tag_side(rd.from_arrow(ts), 1))
+    plan = P.plan_partition(CF.light_rows(union, CKPT_CFG).materialize(), CKPT_CFG)
+    stored = CK.run_plan(fresh_ckpt[0])
+    assert plan.salts and stored == plan
+    assert all(type(c) is int for c in stored.salts)
+
+
+def test_checkpoint_resume_reuses_recorded_plan(ray_session, sides, fresh_ckpt,
+                                                tmp_path, monkeypatch):
+    """A resume buckets its rows with the plan in run.json: the driver's
+    planning pass never runs, and the output equals the fresh run's."""
+    from osm_merge_ray.stages import partition as P
+
+    tp, ts = sides
+    fresh_dir, fresh = fresh_ckpt
+    d = _lose_buckets(fresh_dir, str(tmp_path / "resumed"))
+    kept = len(CK.finished_buckets(d))
+
+    def no_plan(*_a, **_k):
+        raise AssertionError("a resume with a recorded plan planned again")
+
+    monkeypatch.setattr(P, "plan_partition", no_plan)
+    m = run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d, CKPT_CFG)
+    assert m["buckets_skipped"] == kept
+    pd.testing.assert_frame_equal(_norm(fresh), _norm(CK.read_output(d).to_pandas()))
+
+
+def test_checkpoint_resume_refuses_changed_input_rows(ray_session, sides, fresh_ckpt,
+                                                      tmp_path):
+    """The recorded plan does not stand in for the row count: a resume
+    over an input with one row fewer still refuses, writing nothing."""
+    tp, ts = sides
+    d = _lose_buckets(fresh_ckpt[0], str(tmp_path / "resumed"))
+    before = _snapshot(d)
+    with pytest.raises(ValueError, match="different input"):
+        run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts.slice(1)), d, CKPT_CFG)
+    assert _snapshot(d) == before
+
+
+def test_checkpoint_resume_without_recorded_plan(ray_session, sides, fresh_ckpt,
+                                                 tmp_path):
+    """An out_dir whose run.json predates recorded plans plans again and
+    resumes to the fresh output."""
+    import json
+
+    tp, ts = sides
+    fresh_dir, fresh = fresh_ckpt
+    d = _lose_buckets(fresh_dir, str(tmp_path / "resumed"))
+    path = os.path.join(CK.manifest_dir(d), "run.json")
+    with open(path) as fh:
+        rec = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({k: rec[k] for k in ("config_fingerprint", "input_rows", "ts")}, fh)
+    assert CK.run_plan(d) is None
+    run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d, CKPT_CFG)
+    pd.testing.assert_frame_equal(_norm(fresh), _norm(CK.read_output(d).to_pandas()))
+
+
+def test_checkpoint_refuses_truncated_run_manifest(ray_session, sides, fresh_ckpt,
+                                                   tmp_path):
+    """A run.json that does not parse pins nothing (config, input, plan):
+    the resume refuses, naming the file, and writes nothing."""
+    tp, ts = sides
+    d = _lose_buckets(fresh_ckpt[0], str(tmp_path / "resumed"))
+    path = os.path.join(CK.manifest_dir(d), "run.json")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    before = _snapshot(d)
+    with pytest.raises(ValueError, match="run.json"):
+        run_checkpointed(rd.from_arrow(tp), rd.from_arrow(ts), d, CKPT_CFG)
+    assert _snapshot(d) == before
 
 
 def test_empty_secondary_all_new(ray_session, sides):
@@ -303,3 +409,57 @@ def test_lineage_path_normalization_symlink(ray_session, tmp_path):
     assert all(p.startswith(str(real)) for p in fmap.values())
     frags = set(ds.to_pandas()["frag"])
     assert frags and frags <= set(fmap)  # every row id resolves
+
+
+def _frag_table(tmp_path, chunks):
+    """A block with a ``path`` column over 3 files, one record batch per
+    entry of ``chunks`` (file indices), and those files."""
+    import pyarrow as pa
+
+    files = [str(tmp_path / f"part-{k}.parquet") for k in range(3)]
+    batches = [pa.record_batch({"x": pa.array(range(len(c)), pa.int64()),
+                                "path": pa.array([files[k] for k in c])})
+               for c in chunks]
+    return pa.Table.from_batches(batches), files
+
+
+CHUNKS = [[0, 1, 0, 2], [2, 2, 1, 0, 1]]
+
+
+def test_add_frag_ids_equal_per_row_rule(tmp_path):
+    """Frag ids from the per-distinct-path gather equal the per-row rule
+    ``_frag_ids([_lineage_path(p) for p in paths])``, row by row, over a
+    column of 2 chunks."""
+    from osm_merge_ray.pipelines.conflation import _frag_ids, _lineage_path, add_frag
+
+    t, files = _frag_table(tmp_path, CHUNKS)
+    paths = t.column("path").to_pylist()
+    known = frozenset(_frag_ids([_lineage_path(f, False) for f in files]).tolist())
+    out = add_frag(t, remote=False, known=known)
+    want = _frag_ids([_lineage_path(p, False) for p in paths])
+    assert out.column("frag").to_numpy().tolist() == want.tolist()
+    assert out.column_names == ["x", "frag"]
+
+
+def test_add_frag_normalizes_each_distinct_path_once(tmp_path, monkeypatch):
+    """``_lineage_path`` (a ``realpath`` syscall per call) runs once per
+    distinct file of the block, not once per row."""
+    from osm_merge_ray.pipelines import conflation as PC
+
+    t, files = _frag_table(tmp_path, CHUNKS)
+    known = frozenset(PC._frag_ids([PC._lineage_path(f, False) for f in files]).tolist())
+    seen = []
+    real = PC._lineage_path
+    monkeypatch.setattr(PC, "_lineage_path", lambda p, remote: seen.append(p) or real(p, remote))
+    PC.add_frag(t, remote=False, known=known)
+    assert sorted(seen) == files  # 3 calls for 9 rows
+
+
+def test_add_frag_raises_on_unknown_path(tmp_path):
+    from osm_merge_ray.pipelines.conflation import _frag_ids, _lineage_path, add_frag
+
+    t, files = _frag_table(tmp_path, CHUNKS)
+    known = frozenset(_frag_ids([_lineage_path(f, False) for f in files[:2]]).tolist())
+    with pytest.raises(ValueError, match="not present in the run-level fragment map") as e:
+        add_frag(t, remote=False, known=known)
+    assert _lineage_path(files[2], False) in str(e.value)
