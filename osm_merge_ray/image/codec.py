@@ -72,13 +72,29 @@ def encode(pixels: np.ndarray, fmt: str) -> bytes:
     return header + payload
 
 
-def decode(buf: bytes) -> np.ndarray:
-    magic, rest = bytes(buf[:4]), buf[4:]
+#: deflate cannot expand a stream by more than ~1032:1, so a header
+#: claiming more pixels than that is not honest; decode then lets zlib
+#: grow its buffer instead of preallocating what the header claims
+_MAX_DEFLATE_RATIO = 1032
+
+
+def decode(buf) -> np.ndarray:
+    """Pixels (h, w, 3) uint8 of one encoded image. Slices the header
+    through a memoryview (no copy of the payload) and preallocates
+    zlib's output at the header's w*h*3. Raises NotImplementedError on an
+    unknown magic, ValueError when the payload is not w*h*3 bytes, and
+    ``zlib.error`` on a corrupt stream."""
+    mv = memoryview(buf)
+    magic = bytes(mv[:4])
     if magic not in (_MAGIC_PNG, _MAGIC_JPG):
         raise NotImplementedError(f"unknown image magic {magic!r}")
-    w = int.from_bytes(rest[:4], "little")
-    h = int.from_bytes(rest[4:8], "little")
-    raw = zlib.decompress(bytes(rest[8:]))
+    w = int.from_bytes(mv[4:8], "little")
+    h = int.from_bytes(mv[8:12], "little")
+    payload = mv[12:]
+    size = w * h * 3
+    if size > len(payload) * _MAX_DEFLATE_RATIO:
+        size = zlib.DEF_BUF_SIZE
+    raw = zlib.decompress(payload, bufsize=size)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
 
 
@@ -93,6 +109,15 @@ def quantize(pixels: np.ndarray) -> np.ndarray:
     return np.clip(
         (pixels.astype(np.int32) + _Q_STEP // 2) // _Q_STEP * _Q_STEP, 0, 255
     ).astype(np.uint8)
+
+
+def on_quant_grid(stack: np.ndarray) -> np.ndarray:
+    """Per image of a (k, ...) uint8 stack: ``px == quantize(px)``
+    everywhere, as one array op. A byte re-quantizes to itself exactly
+    when it is a multiple of the step (a power of two) or the clipped
+    top value 255 (checked over all 256 values in tests)."""
+    f = stack.reshape(len(stack), -1)
+    return (((f & (_Q_STEP - 1)) == 0) | (f == 255)).all(axis=1)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

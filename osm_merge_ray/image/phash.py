@@ -32,39 +32,78 @@ def _dct_matrix(n: int = 32) -> np.ndarray:
     return _DCT32
 
 
-def _gray32(pixels: np.ndarray) -> np.ndarray:
-    gray = (
-        0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
-    )
-    h, w = gray.shape
-    if h % 32 == 0 and w % 32 == 0:
-        # box means over equal blocks == resize_box for divisible sizes,
-        # via reshape-mean (no integral image) — the common fast path
-        g8 = gray.astype(np.uint8)
-        blocks = g8.reshape(32, h // 32, 32, w // 32).astype(np.float64)
-        return np.clip(np.rint(blocks.mean(axis=(1, 3))), 0, 255)
-    return resize_box(gray[..., None].astype(np.uint8), 32, 32)[..., 0].astype(np.float64)
+#: pixels per stacked piece: keeps the float64 grayscale temporaries
+#: cache-sized
+_CHUNK_PX = 1 << 17
+
+
+def _box32(g8: np.ndarray) -> np.ndarray:
+    """(k, h, w) uint8 with h, w multiples of 32 → (k, 32, 32) block
+    means, rounded. Strided integer adds give exact block sums, so
+    ``rint(sum / area)`` equals the float64 ``blocks.mean`` in any
+    summation order."""
+    _, h, w = g8.shape
+    bh, bw = h // 32, w // 32
+    acc = np.uint16 if bh * bw * 255 <= np.iinfo(np.uint16).max else np.uint32
+    cols = g8[:, :, 0::bw].astype(acc)
+    for j in range(1, bw):
+        cols += g8[:, :, j::bw]
+    sums = cols[:, 0::bh].copy()
+    for i in range(1, bh):
+        sums += cols[:, i::bh]
+    return np.rint(sums / (bh * bw))
+
+
+def gray32(stack: np.ndarray) -> np.ndarray:
+    """The pHash front-end for a (k, h, w, 3) stack of one raster shape:
+    grayscale (``0.299 R + 0.587 G + 0.114 B`` → uint8) box-resized to
+    (k, 32, 32) float64. Shapes divisible by 32 take the strided box
+    sums; any other shape goes through ``resize_box`` image by image."""
+    h, w = stack.shape[1:3]
+    g8 = (0.299 * stack[..., 0] + 0.587 * stack[..., 1]
+          + 0.114 * stack[..., 2]).astype(np.uint8)
+    if h > 0 and w > 0 and h % 32 == 0 and w % 32 == 0:
+        return _box32(g8)
+    return np.stack([resize_box(g[..., None], 32, 32)[..., 0] for g in g8]).astype(np.float64)
 
 
 _POW2 = (np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64))
 
 
-def phash64_batch(images: list[np.ndarray]) -> np.ndarray:
-    """Batched pHash: per-image gray/resize, then ONE einsum DCT over the
-    whole (n, 32, 32) stack — the per-row Python cost is just the
-    decode+resize, not the transform."""
-    n = len(images)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    stack = np.empty((n, 32, 32))
-    for i, px in enumerate(images):
-        stack[i] = _gray32(px)
-    m = _dct_matrix(32)
-    d = np.einsum("ij,njk,lk->nil", m, stack, m, optimize=True)
-    flat = d[:, :8, :8].reshape(n, 64)
+def hash_gray32(g32: np.ndarray) -> np.ndarray:
+    """int64 pHash of each (32, 32) gray image of an (n, 32, 32) stack.
+    Only the 8x8 low-frequency block the hash reads is transformed:
+    ``m[:8] @ g @ m[:8].T`` (bit-equal to the full 32x32 DCT's corner,
+    pinned in tests)."""
+    n = len(g32)
+    m8 = _dct_matrix(32)[:8]
+    flat = (m8 @ g32 @ m8.T).reshape(n, 64)
     med = np.median(flat[:, 1:], axis=1)
     bits = flat > med[:, None]
     return (bits.astype(np.uint64) @ _POW2).view(np.int64)
+
+
+def shape_stacks(images: list[np.ndarray]):
+    """Yield ``(positions, stack)``: the images grouped by shape, each
+    class stacked in pieces of about ``_CHUNK_PX`` pixels, so a piece is
+    still in cache for every array op run on it."""
+    groups: dict[tuple, list[int]] = {}
+    for i, px in enumerate(images):
+        groups.setdefault(px.shape, []).append(i)
+    for shape, pos in groups.items():
+        step = max(1, _CHUNK_PX // max(shape[0] * shape[1], 1))
+        for a in range(0, len(pos), step):
+            piece = pos[a:a + step]
+            yield piece, np.stack([images[i] for i in piece])
+
+
+def phash64_batch(images: list[np.ndarray]) -> np.ndarray:
+    """Batched pHash: the images are stacked per shape (``shape_stacks``)
+    for ``gray32``, then one DCT covers every image."""
+    g32 = np.empty((len(images), 32, 32))
+    for pos, stack in shape_stacks(images):
+        g32[pos] = gray32(stack)
+    return hash_gray32(g32)
 
 
 def phash64(pixels: np.ndarray) -> int:

@@ -19,14 +19,20 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from osm_merge_ray.image.codec import decode, encode, is_lossy, psnr, resize_box
-from osm_merge_ray.image.phash import hamming64, phash64
+from osm_merge_ray.image.codec import (decode, encode, is_lossy, on_quant_grid,
+                                       psnr, quantize, resize_box)
+from osm_merge_ray.image.phash import gray32, hamming64, hash_gray32, shape_stacks
 
 
 class DecodeVerify:
     """Decode every image; verify dims + phash against the metadata
     columns; per-row PSNR gate for lossy rows (BASELINE.json: "decoded-
     pixel allclose (PSNR>=40dB for lossy)").
+
+    Each row is decoded once (``codec.decode``); the decoded rows are
+    then stacked per raster shape (``phash.shape_stacks``), so the
+    lossy-grid check and the pHash front-end (grayscale, box sums) run
+    as array ops per stack and one 8x8 DCT covers the block.
 
     Emits the input columns minus ``bytes`` plus
     ``decode_ok / dims_ok / phash_dist / psnr_db``.
@@ -37,50 +43,71 @@ class DecodeVerify:
         self.phash_max_dist = phash_max_dist
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from osm_merge_ray.image.codec import quantize
-        from osm_merge_ray.image.phash import phash64_batch
-
         blobs = t.column("bytes").to_pylist()
         w = t.column("w").to_numpy()
         h = t.column("h").to_numpy()
-        fmt = t.column("fmt").to_pylist()
+        lossy = np.array([is_lossy(f) for f in t.column("fmt").to_pylist()], dtype=bool)
         stored = t.column("phash").to_numpy()
         n = len(blobs)
-        ok = np.zeros(n, dtype=bool)
-        dims_ok = np.zeros(n, dtype=bool)
-        pdist = np.full(n, 64, dtype=np.int64)
-        psnr_db = np.full(n, 0.0)
-        decoded: list[np.ndarray] = []
-        decoded_idx: list[int] = []
+        pxs: list[np.ndarray] = []
+        rows: list[int] = []
         for i, buf in enumerate(blobs):
             if buf is None:
                 continue
             try:
-                px = decode(buf)
+                pxs.append(decode(buf))
             except (NotImplementedError, ValueError):
                 continue
-            ok[i] = True
-            dims_ok[i] = px.shape[1] == w[i] and px.shape[0] == h[i]
-            decoded.append(px)
-            decoded_idx.append(i)
-            if is_lossy(fmt[i]):
-                # re-encode round trip == the quantizer (idempotent lossy
-                # stand-in); PSNR gate computed without a zlib cycle, with
-                # an equality fast path (stored lossy pixels re-quantize
-                # to themselves)
-                q = quantize(px)
-                psnr_db[i] = 99.0 if np.array_equal(px, q) else min(psnr(px, q), 99.0)
-            else:
-                psnr_db[i] = 99.0
-        if decoded:
-            hashes = phash64_batch(decoded)  # one batched DCT for the block
-            idx = np.asarray(decoded_idx)
-            pdist[idx] = hamming64(hashes, stored[idx])
+            rows.append(i)
+        rows = np.asarray(rows, dtype=np.int64)
+        ok = np.zeros(n, dtype=bool)
+        ok[rows] = True
+        dims_ok = np.zeros(n, dtype=bool)
+        pdist = np.full(n, 64, dtype=np.int64)
+        psnr_db = np.where(ok, 99.0, 0.0)
+        g32 = np.empty((len(pxs), 32, 32))
+        for pos, stack in shape_stacks(pxs):
+            at = rows[pos]
+            g32[pos] = gray32(stack)
+            dims_ok[at] = (h[at] == stack.shape[1]) & (w[at] == stack.shape[2])
+            # re-encode round trip == the quantizer (idempotent lossy
+            # stand-in): stored lossy pixels sit on its grid, so PSNR is
+            # computed only for lossy rows off the grid
+            for j in np.flatnonzero(lossy[at] & ~on_quant_grid(stack)):
+                psnr_db[at[j]] = min(psnr(stack[j], quantize(stack[j])), 99.0)
+        pdist[rows] = hamming64(hash_gray32(g32), stored[rows])
         out = t.drop_columns(["bytes"])
         out = out.append_column("decode_ok", pa.array(ok))
         out = out.append_column("dims_ok", pa.array(dims_ok))
         out = out.append_column("phash_dist", pa.array(pdist, pa.int64()))
         out = out.append_column("psnr_db", pa.array(psnr_db, pa.float64()))
+        return out
+
+
+class VerifiedDecode(DecodeVerify):
+    """``DecodeVerify`` that refuses a block holding a row that fails a
+    check: it raises a ValueError naming up to 3 ``image_id``s and the
+    first check each failed, in the order decode, dims, phash
+    (``phash_dist > phash_max_dist``), psnr (``psnr_db < psnr_min``).
+    The conflation pipelines decode through it, so a corrupt or
+    mismatched image is never conflated silently; ``DecodeVerify`` itself
+    only flags (``image_decode_stats`` counts the flags)."""
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        out = super().__call__(t)
+        checks = {
+            "decode": ~out.column("decode_ok").to_numpy(zero_copy_only=False),
+            "dims": ~out.column("dims_ok").to_numpy(zero_copy_only=False),
+            "phash": out.column("phash_dist").to_numpy() > self.phash_max_dist,
+            "psnr": out.column("psnr_db").to_numpy() < self.psnr_min,
+        }
+        first = np.select(list(checks.values()), list(checks), default="")
+        bad = np.flatnonzero(first != "")
+        if len(bad):
+            ids = out.column("image_id").to_pylist()
+            named = ", ".join(f"{ids[i]} ({first[i]})" for i in bad[:3])
+            raise ValueError(
+                f"image decode-verify failed on {len(bad)} row(s): {named}")
         return out
 
 

@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 from osm_merge_ray.config import ConflationConfig
 from osm_merge_ray.geo.mercator import TileGrid
-from osm_merge_ray.image.stages import DecodeVerify
+from osm_merge_ray.image.stages import VerifiedDecode
 from osm_merge_ray.stages import conflate as CF
 from osm_merge_ray.stages import partition as P
 from osm_merge_ray.stages.tiling import assign_tiles
@@ -45,7 +45,7 @@ def flagship(n_per_side: int = 1000, cfg: ConflationConfig | None = None,
     s = synth_dataset(n_per_side, "secondary", seed=seed, with_bytes=decode_images)
     union = CF.tag_side(p, 0).union(CF.tag_side(s, 1))
     if decode_images:
-        union = union.map_batches(DecodeVerify, batch_format="pyarrow",
+        union = union.map_batches(VerifiedDecode, batch_format="pyarrow",
                                   batch_size=256,
                                   concurrency=(1, max(4, os.cpu_count() or 8)))
     decisions, _ = P.shuffle_match(CF.light_rows(union, cfg), cfg, cfg.distance_m,
@@ -90,7 +90,7 @@ def conflate_parquet(primary_path: str, secondary_path: str,
             # unfused decode ships the image BYTES through the object
             # store (measured: read+decode 2x slower). Fused, the batch
             # is the file block - decode memory is bounded by file size.
-            return ds.map_batches(DecodeVerify(), batch_format="pyarrow")
+            return ds.map_batches(VerifiedDecode(), batch_format="pyarrow")
         return ds
 
     union = CF.tag_side(read_side(primary_path), 0).union(

@@ -230,12 +230,14 @@ def plan_salts(light_ds, cfg: ConflationConfig) -> dict[int, int]:
     return plan_partition(light_ds, cfg).salts
 
 
-def _with_bucket(t: pa.Table, cfg: ConflationConfig) -> pa.Table:
+def _with_bucket(t: pa.Table, cfg: ConflationConfig, skip: np.ndarray) -> pa.Table:
+    """Append each row's ``bucket`` and drop the rows of ``skip``."""
     cell = t.column("cell").to_numpy()
     salt = t.column("salt").to_numpy()
     b = C.bucket_of(cell, cfg.num_buckets,
                     salt=salt.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-    return t.append_column("bucket", pa.array(b, pa.int64()))
+    out = t.append_column("bucket", pa.array(b, pa.int64()))
+    return out.filter(pa.array(~np.isin(b, skip))) if len(skip) else out
 
 
 def _salt_hash(t: pa.Table, rows: np.ndarray) -> np.ndarray:
@@ -256,10 +258,12 @@ def _box(t) -> tuple[np.ndarray, ...]:
     return lon, lat, lon, lat
 
 
-def make_tag_primary(cfg: ConflationConfig, salts: dict[int, int]):
+def make_tag_primary(cfg: ConflationConfig, salts: dict[int, int], skip_buckets=()):
     """Primaries keep ONE row: hot-base-cell rows re-keyed at the fine
-    resolution of their centroid, salted by id hash."""
+    resolution of their centroid, salted by id hash. Rows landing in
+    ``skip_buckets`` are dropped."""
     hot = np.array(sorted(salts), dtype=np.int64)
+    skip = np.array(sorted(skip_buckets), dtype=np.int64)
     fine = fine_res_of(cfg)
 
     def tag(t: pa.Table) -> pa.Table:
@@ -281,20 +285,21 @@ def make_tag_primary(cfg: ConflationConfig, salts: dict[int, int]):
         out = t.set_column(t.schema.get_field_index("cell"), "cell",
                            pa.array(cell, pa.int64()))
         out = out.append_column("salt", pa.array(salt, pa.int64()))
-        return _with_bucket(out, cfg)
+        return _with_bucket(out, cfg, skip)
 
     return tag
 
 
 def make_replicate_secondary(cfg: ConflationConfig, salts: dict[int, int],
-                             band_m: float | None = None):
+                             band_m: float | None = None, skip_buckets=()):
     """Secondaries ship to every base cell their banded bbox overlaps;
     targets landing in a HOT base cell are re-emitted as the fine-res
     banded cover (restricted to hot parents) x every salt of that
     parent. Replication factor ~1 + O(band/edge) instead of 9x.
     ``band_m`` defaults to ``cfg.distance_m``, the band of zero-extent
-    (point) primaries."""
+    (point) primaries. Copies landing in ``skip_buckets`` are dropped."""
     hot = np.array(sorted(salts), dtype=np.int64)
+    skip = np.array(sorted(skip_buckets), dtype=np.int64)
     fine = fine_res_of(cfg)
     band_m = cfg.distance_m if band_m is None else band_m
 
@@ -354,7 +359,7 @@ def make_replicate_secondary(cfg: ConflationConfig, salts: dict[int, int],
         out = out.set_column(out.schema.get_field_index("cell"), "cell",
                              pa.array(all_tgt, pa.int64()))
         out = out.append_column("salt", pa.array(all_salt, pa.int64()))
-        return _with_bucket(out, cfg)
+        return _with_bucket(out, cfg, skip)
 
     return rep
 
@@ -484,7 +489,10 @@ def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
     pass and before anything downstream runs.
 
     Rows of ``skip_buckets`` (finished checkpoint buckets) are dropped
-    before the exchange, so they are never shipped or rescored.
+    by the tag/replicate maps themselves, so they are never shipped or
+    rescored. No separate filter map runs after them: Ray hands a map an
+    empty input block without calling it and emits a block with no
+    schema, which the sort-based groupby then mixes with typed blocks.
 
     ``plan`` (a checkpoint resume) is the ``Plan`` an earlier run computed
     over the same input: its salts, reach and split flag are used as they
@@ -497,18 +505,11 @@ def shuffle_match(light, cfg: ConflationConfig, band_extra_m: float,
         plan = plan_partition(light, cfg)
     else:
         plan = plan._replace(rows=light.count())
-    p = light.map_batches(make_tag_primary(cfg, plan.salts), batch_format="pyarrow",
-                          batch_size=cfg.batch_size)
+    p = light.map_batches(make_tag_primary(cfg, plan.salts, skip_buckets),
+                          batch_format="pyarrow", batch_size=cfg.batch_size)
     s = light.map_batches(
-        make_replicate_secondary(cfg, plan.salts, band_extra_m + plan.reach_m),
+        make_replicate_secondary(cfg, plan.salts, band_extra_m + plan.reach_m,
+                                 skip_buckets),
         batch_format="pyarrow", batch_size=cfg.batch_size)
-    both = p.union(s)
-    if skip_buckets:
-        done = np.array(sorted(skip_buckets), dtype=np.int64)
-
-        def drop_done(t: pa.Table) -> pa.Table:
-            return t.filter(pa.array(~np.isin(t.column("bucket").to_numpy(), done)))
-
-        both = both.map_batches(drop_done, batch_format="pyarrow")
-    out = both.groupby("bucket").map_groups(match_fn, batch_format="pandas")
+    out = p.union(s).groupby("bucket").map_groups(match_fn, batch_format="pandas")
     return out, plan

@@ -322,6 +322,48 @@ def test_checkpoint_refuses_truncated_run_manifest(ray_session, sides, fresh_ckp
     assert _snapshot(d) == before
 
 
+def test_resume_exchange_blocks_keep_their_schema(ray_session, sides, tmp_path):
+    """A one-lost-bucket resume over several blocks per side: the blocks
+    entering the bucket exchange are typed, so Ray's "different schema"
+    warning (a schema-less empty block mixed into the sort-based groupby)
+    is never logged, and the resume equals the fresh run."""
+    import dataclasses
+    import logging
+
+    tp, ts = sides
+    # one block per map task, so the tag map meets secondary-only blocks
+    # and emits empty (typed) blocks for the exchange
+    cfg = dataclasses.replace(CKPT_CFG, batch_size=N // 4)
+
+    def blocks(t):
+        return rd.from_arrow([t.slice(i * N // 4, N // 4) for i in range(4)])
+
+    d = str(tmp_path / "ckpt")
+    run_checkpointed(blocks(tp), blocks(ts), d, cfg)
+    fresh = CK.read_output(d).to_pandas()
+    lost = sorted(CK.finished_buckets(d))[0]
+    shutil.rmtree(os.path.join(d, f"bucket={lost}"))
+    os.remove(os.path.join(CK.manifest_dir(d), f"bucket={lost}.json"))
+
+    warnings = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                warnings.append(record.getMessage())
+
+    handler = Capture()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        m = run_checkpointed(blocks(tp), blocks(ts), d, cfg)
+    finally:
+        logger.removeHandler(handler)
+    assert warnings == []
+    assert m["buckets_skipped"] == len(CK.finished_buckets(d)) - 1
+    pd.testing.assert_frame_equal(_norm(fresh), _norm(CK.read_output(d).to_pandas()))
+
+
 def test_empty_secondary_all_new(ray_session, sides):
     """Verify-skill probe: an empty secondary side → every primary is
     'new' (the no-candidate fallback, conflator.py:318-325)."""

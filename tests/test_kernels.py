@@ -6,7 +6,9 @@ import pytest
 from osm_merge_ray.geo import cells as C
 from osm_merge_ray.geo.distance import haversine_m, polyline_min_dist_m, slope_angle
 from osm_merge_ray.geo.strtree import STRtree, point_in_polygon
-from osm_merge_ray.image.codec import decode, encode, psnr, resize_box, synth_pixels
+from osm_merge_ray.image import phash as P
+from osm_merge_ray.image.codec import (decode, encode, on_quant_grid, psnr, quantize,
+                                       resize_box, synth_pixels)
 from osm_merge_ray.image.phash import hamming64, phash64
 from osm_merge_ray.text import fuzz as F
 
@@ -153,6 +155,45 @@ def test_resize_box_means():
     out = resize_box(px, 1, 1)
     assert out.shape == (1, 1, 3)
     assert abs(int(out[0, 0, 0]) - 150) <= 1
+
+
+@pytest.mark.parametrize("h,w", [(32, 32), (64, 64), (128, 128), (32, 128),
+                                 (128, 64), (256, 96), (1024, 512)])
+def test_box32_equals_blocks_mean(h, w):
+    """Strided integer box sums, rounded, equal the float64 reshape-mean
+    the per-image front-end used, on random gray stacks (the last shape's
+    blocks overflow uint16 sums)."""
+    g8 = np.random.default_rng(h * 1000 + w).integers(0, 256, (8, h, w), dtype=np.uint8)
+    g8[0] = 255  # the largest block sums
+    blocks = g8.reshape(8, 32, h // 32, 32, w // 32).astype(np.float64)
+    want = np.clip(np.rint(blocks.mean(axis=(2, 4))), 0, 255)
+    assert np.array_equal(P._box32(g8), want)
+
+
+def test_quant_grid_predicate_over_all_bytes():
+    v = np.arange(256, dtype=np.uint8)
+    assert np.array_equal(on_quant_grid(v[:, None]), v == quantize(v))
+    stack = quantize(np.random.default_rng(3).integers(0, 256, (6, 8, 8, 3), dtype=np.uint8))
+    stack[2, 3, 4, 1] = 5
+    assert on_quant_grid(stack).tolist() == [True, True, False, True, True, True]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_eight_row_dct_bit_equal_to_full_einsum(n):
+    """The hash reads the 8x8 corner only; transforming just that corner
+    gives bit-equal coefficients to the full 32x32 einsum."""
+    g32 = np.random.default_rng(n).integers(0, 256, (n, 32, 32)).astype(np.float64)
+    m = P._dct_matrix(32)
+    full = np.einsum("ij,njk,lk->nil", m, g32, m, optimize=True)[:, :8, :8]
+    assert np.array_equal(m[:8] @ g32 @ m[:8].T, full)
+
+
+def test_phash64_alone_equals_mixed_shape_batch():
+    sizes = [(32, 32), (64, 128), (48, 40), (128, 32), (32, 32), (40, 48), (128, 128)]
+    imgs = [synth_pixels(10 + i, w, h) for i, (w, h) in enumerate(sizes)]
+    got = P.phash64_batch(imgs).view(np.uint64)
+    assert [int(x) for x in got] == [phash64(px) for px in imgs]
+    assert P.phash64_batch([]).dtype == np.int64
 
 
 def test_fuzz_batch_exact_beyond_width_cap():

@@ -4,6 +4,7 @@ the fast probes run (with their own invariant asserts) under the test
 session."""
 
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -30,7 +31,8 @@ probe = _load_probe()
 NAMES = ["pack_sequences", "incremental_dedup", "semdedup", "winnow",
          "curate_resume", "redact_pii", "bigram_lm", "quota_sample",
          "bpe_train", "table_profile", "grouped_distinct",
-         "substring_decontaminate", "polygon_giants", "flagship_5x"]
+         "substring_decontaminate", "polygon_giants", "flagship_5x",
+         "decode_verify"]
 
 
 def test_registry_names(capsys):
@@ -73,3 +75,15 @@ def test_fast_probes_run(ray_session, name):
         assert row["probe"] == name
         assert row["n"] == 1000
         assert row["wall_s"] >= 0
+
+
+def test_decode_verify_probe_runs_without_ray(capsys):
+    import ray
+
+    assert "decode_verify" in probe.IN_PROCESS
+    started = ray.is_initialized()
+    assert probe.main(["decode_verify", "--n", "12"]) == 0
+    assert ray.is_initialized() == started
+    row = json.loads(capsys.readouterr().out)
+    assert row["probe"] == "decode_verify" and row["n"] == 12
+    assert row["us_per_row"] > 0 and row["cpus"] == 1

@@ -1,19 +1,22 @@
 """Scale probes: named measurements of single operators and compositions
-at 20-1000x the bench scale (the figures are recorded in BASELINE.md).
+at 20-1000x the bench scale (the figures are recorded in BASELINE.md),
+plus in-process probes of hot kernels (``decode_verify``) that run
+without Ray.
 
 Each probe builds its own deterministic synthetic input, times the
 operator, asserts the invariant that makes the timing meaningful (exact
 prefix scan, planted duplicates found, resume redoes only the lost
 buckets, ...) and returns its measurements as rows. ``main`` owns the
-one Ray session and prints each row as one JSON line.
+one Ray session (started only when a named probe needs it) and prints
+each row as one JSON line.
 
     python tools/probe.py --list
     python tools/probe.py NAME [NAME ...] [--n N]
 
 ``--n`` overrides every named probe's default size (2M docs; 500k for
-``bigram_lm``); derived sizes (vectors, footprints, rows per side)
-scale from it as each probe documents. Env: ``RAY_GRAFT_CPUS`` (default
-32, as ``bench.py``).
+``bigram_lm``; 2,000 rows for ``decode_verify``); derived sizes
+(vectors, footprints, rows per side) scale from it as each probe
+documents. Env: ``RAY_GRAFT_CPUS`` (default 32, as ``bench.py``).
 """
 
 from __future__ import annotations
@@ -42,20 +45,26 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 #: probe name -> fn(n) -> measurement rows; filled by ``@probe``
 PROBES: dict = {}
 DEFAULT_N: dict[str, int] = {}
+#: probes that measure a kernel in-process, without a Ray session
+IN_PROCESS: set[str] = set()
 
 
-def probe(default_n: int = 2_000_000):
-    """Register ``fn(n) -> rows`` under its name; ``default_n`` when no --n."""
+def probe(default_n: int = 2_000_000, ray: bool = True):
+    """Register ``fn(n) -> rows`` under its name; ``default_n`` when no
+    --n; ``ray=False`` for an in-process kernel probe."""
     def register(fn):
         PROBES[fn.__name__] = fn
         DEFAULT_N[fn.__name__] = default_n
+        if not ray:
+            IN_PROCESS.add(fn.__name__)
         return fn
     return register
 
 
 def run(name: str, n: int | None = None) -> list[dict]:
     """Run one probe at ``n`` (its default when None); every row starts
-    with ``probe`` and ``n``. Needs a live Ray session."""
+    with ``probe`` and ``n``. Needs a live Ray session unless the probe
+    is in ``IN_PROCESS``."""
     n = DEFAULT_N[name] if n is None else n
     return [{"probe": name, "n": n, **row} for row in PROBES[name](n)]
 
@@ -102,6 +111,24 @@ def docs(n: int, blocks: int = 64, start: int = 0, **text_opts):
 
     return rd.range(n, override_num_blocks=blocks).map_batches(
         make, batch_format="pyarrow")
+
+
+@probe(default_n=2000, ray=False)
+def decode_verify(n):
+    """``DecodeVerify`` in-process on ``synth.make_batch`` blocks of up to
+    1,000 primary rows (all 9 shapes, both formats): µs/row as the best
+    of 5 passes per block, summed. It runs as ``VerifiedDecode``, which
+    raises on any row that fails a check, so the timing is never of a
+    failure path."""
+    from osm_merge_ray.image.stages import VerifiedDecode
+    from osm_merge_ray.synth import make_batch
+
+    dv = VerifiedDecode()
+    total = 0.0
+    for ids in np.array_split(np.arange(n), max(1, -(-n // 1000))):
+        t = make_batch(ids, "primary")
+        total += min(_timed(lambda: dv(t))[1] for _ in range(5))
+    return [{"us_per_row": round(total / n * 1e6, 1)}]
 
 
 @probe()
@@ -444,23 +471,27 @@ def main(argv: list[str] | None = None) -> int:
     if not args.names:
         ap.error("name at least one probe; see --list")
 
-    # Ray actor workers must import the package: export before ray.init
-    os.environ["PYTHONPATH"] = _REPO + os.pathsep + os.environ.get("PYTHONPATH", "")
-    import ray
+    use_ray = not IN_PROCESS.issuperset(args.names)
+    if use_ray:
+        # Ray actor workers must import the package: export before ray.init
+        os.environ["PYTHONPATH"] = _REPO + os.pathsep + os.environ.get("PYTHONPATH", "")
+        import ray
 
-    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-             logging_level="ERROR")
+        ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
+                 logging_level="ERROR")
     try:
         ctx = rd.DataContext.get_current()
         ctx.enable_progress_bars = False
         ctx.enable_operator_progress_bars = False
         for name in args.names:
             for row in run(name, args.n):
-                row.update(cpus=NUM_CPUS, loadavg=round(os.getloadavg()[0], 2))
+                row.update(cpus=1 if name in IN_PROCESS else NUM_CPUS,
+                           loadavg=round(os.getloadavg()[0], 2))
                 # numpy scalars (Dataset sums, DataFrame cells) -> Python
                 print(json.dumps(row, default=lambda v: v.item()), flush=True)
     finally:
-        ray.shutdown()
+        if use_ray:
+            ray.shutdown()
     return 0
 
 
