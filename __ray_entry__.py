@@ -8,8 +8,8 @@ The driver initialises Ray BEFORE importing this module; nothing here
 * ``queries()`` — one callable per implemented operator family
   (SURVEY.md §2 + the training-data operators), each ``(sf_dir) →``
   Dataset / DataFrame / Table.
-* ``oracle_sql()`` — DuckDB-equivalent SQL for EVERY query (84/84 as
-  of r5; zero rows-only): float-boundary semantics are made
+* ``oracle_sql()`` — DuckDB-equivalent SQL for EVERY query (zero
+  rows-only): float-boundary semantics are made
   SQL-mirrorable by integer quantization / poly41 hashing / round-6
   similarities, and the multimodal stand-ins by parametric twins.
   Content-dependent float internals additionally carry brute-force

@@ -36,28 +36,15 @@ def _bench_queries():
         return res
 
     names = [
-        "q1_pricing_summary", "events_window", "events_sessionize",
         "spatial_distance_join", "spatial_conflate",
         "dedup_exact", "dedup_minhash_lsh", "dedup_ngram_jaccard",
         "knn_cosine_topk", "text_quality_score",
-        # r2 scale paths: light-band embedding LSH, 40-bit simhash,
-        # winnowing fingerprints, fixed-quantizer IVF
         "dedup_embedding_lsh", "dedup_simhash", "text_fingerprint",
-        "knn_ivf",
-        # r3 additions: winnow overlap pairs, SemDeDup, quality
-        # representatives, sequence-packing prefix scan
-        "dedup_winnow", "dedup_semantic", "dedup_representatives",
-        "text_pack_sequences",
-        # r4 additions: banded image-phash near-dup, inverted index,
-        # multimodal orphan check, RE2 PII redaction, bigram LM score,
-        # image pairs→CC→keep-one composition
-        "dedup_phash_hamming", "text_inverted_index",
+        "knn_ivf", "dedup_winnow", "dedup_semantic", "dedup_representatives",
+        "text_pack_sequences", "dedup_phash_hamming", "text_inverted_index",
         "multimodal_integrity", "text_pii_redact", "text_lm_score",
-        "image_dedup_clusters",
-        # r5 additions: distributed BPE merge-training, exact-substring
-        # decontamination, vectorized langid
-        "text_bpe_train", "text_substring_decontaminate", "text_langid",
-        "text_chunk_plan",
+        "image_dedup_clusters", "text_bpe_train",
+        "text_substring_decontaminate", "text_langid", "text_chunk_plan",
     ]
     return [(n, lambda n=n: consume(Q.QUERIES[n](SF_DIR))) for n in names]
 

@@ -6,8 +6,9 @@ A from-scratch re-expression of the capabilities of hotosm/osm-merge
 
 * grid-cell (H3/S2-analog) spatial index + k-ring shuffle instead of the
   reference's O(N*M) nested loop (``conflator.py:145-267``),
-* per-cell vectorized candidate generation + STRtree kNN instead of
-  per-feature PostGIS round trips (``conflatePOI.py:294-380``),
+* per-cell vectorized candidate generation (the grid-partition join of
+  ``stages.partition.bucket_pairs``) instead of per-feature PostGIS
+  round trips (``conflatePOI.py:294-380``),
 * distance + fuzzy-tag (caption) matching decision table
   (``conflator.py:188-325``) as numpy kernels inside ``map_groups``,
 * EPSG:3857 square tile grid assignment (``tm-splitter.py:74-129``),

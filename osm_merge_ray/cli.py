@@ -146,39 +146,45 @@ def cmd_conflate_images(args) -> int:
 
 
 def cmd_tm_split(args) -> int:
+    """``--grid``: write the task grid as one GeoJSON of tile squares.
+    ``--split``: write one ``task-<tile_id>.geojson`` per non-empty grid
+    tile, each feature assigned by its centroid. Each tile's file is
+    written by the group that holds its rows, so nothing is collected
+    on the driver; features within a file are in ``feature_id`` order,
+    not in input order."""
     from osm_merge_ray.geo.mercator import TileGrid, inv_merc_lat, inv_merc_lon
 
     grid = TileGrid.from_bbox_lonlat(*args.bbox, size_m=args.meters)
     if args.split:
-        # make_tasks analog (tm-splitter.py:131-190): one GeoJSON file
-        # per grid tile, features assigned by centroid
-        import numpy as np
+        # make_tasks analog (tm-splitter.py:131-190)
+        import os
+
         import pyarrow as pa
 
         from osm_merge_ray.geo import coords as G
         from osm_merge_ray.sources.geojson import read_geojson, table_to_features
 
         _ray()
-        ds = read_geojson(args.split)
+        outdir = os.path.abspath(args.outfile)
+        os.makedirs(outdir, exist_ok=True)
 
         def assign(t: pa.Table) -> pa.Table:
             lon, lat = G.centroids(G.parse(t.column("coords_json"), G.ids_of(t)))
             return t.append_column(
                 "tile_id", pa.array(grid.tile_of_lonlat(lon, lat), pa.int64()))
 
-        t = pa.concat_tables(
-            ds.map_batches(assign, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow", batch_size=8192)
-        )
-        os_mod = __import__("os")
-        os_mod.makedirs(args.outfile, exist_ok=True)
-        n_files = 0
-        for tid in np.unique(t.column("tile_id").to_numpy()):
-            sub = t.filter(pa.compute.equal(t.column("tile_id"), int(tid)))
-            feats = table_to_features(sub)
-            with open(os_mod.path.join(args.outfile, f"task-{int(tid)}.geojson"), "w") as fh:
+        def write_tile(t: pa.Table) -> pa.Table:
+            tid = t.column("tile_id")[0].as_py()
+            feats = table_to_features(t.sort_by("feature_id"))
+            with open(os.path.join(outdir, f"task-{tid}.geojson"), "w") as fh:
                 json.dump({"type": "FeatureCollection", "features": feats}, fh)
-            n_files += 1
+            return pa.table({"tile_id": pa.array([tid], pa.int64())})
+
+        n_files = (read_geojson(args.split)
+                   .map_batches(assign, batch_format="pyarrow")
+                   .groupby("tile_id")
+                   .map_groups(write_tile, batch_format="pyarrow")
+                   .count())
         print(f"wrote {n_files} task files to {args.outfile}/")
         return 0
     feats = []

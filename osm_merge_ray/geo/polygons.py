@@ -1,4 +1,5 @@
-"""Polygon intersection kernels, from scratch (no GEOS).
+"""Polygon kernels, from scratch (no GEOS): intersection area and
+point-in-polygon.
 
 Implements the geometry behind the reference's duplicate-building join
 (``conflateBuildings.overlapDB`` conflateBuildings.py:106-112:
@@ -134,3 +135,22 @@ def split_polygon_span(ring: np.ndarray,
             if len(piece) >= 3 and abs(shoelace_area(piece)) > 0.0:
                 out.append(piece)
     return out if out else [ring]
+
+
+def point_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Vectorized even-odd ray casting: points (n,) vs one polygon ring
+    (m, 2). Engine analog of ``shapely.contains`` gating at
+    conflatePOI.py:406 / clip at osmhighways.py:243-252.
+    """
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    poly = np.asarray(poly, dtype=np.float64)
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    inside = np.zeros(len(px), dtype=bool)
+    for i in range(len(poly)):
+        cond = ((y0[i] > py) != (y1[i] > py))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x0[i] + (py - y0[i]) / (y1[i] - y0[i] + 1e-300) * (x1[i] - x0[i])
+        inside ^= cond & (px < xint)
+    return inside

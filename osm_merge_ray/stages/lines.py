@@ -194,7 +194,7 @@ def match_lines_group(df: pd.DataFrame, cfg: ConflationConfig) -> pd.DataFrame:
     from osm_merge_ray.ops import rank_within_groups
 
     # vectorized bbox lower-bound pre-gate: cut pairs whose bbox gap
-    # already exceeds the threshold (the STRtree-style gate, batch form)
+    # already exceeds the threshold (a bbox-distance gate, batch form)
     if len(pi):
         lat0 = np.radians(pb[pi, 1])
         kx = 111320.0 * np.maximum(np.abs(np.cos(lat0)), 1e-3)

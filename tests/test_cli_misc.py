@@ -440,3 +440,43 @@ def test_cli_aspect_batch_plan(ray_session, tmp_path):
     df = pq.read_table(str(out)).to_pandas()
     assert set(df["batch_idx"]) == {0, 1, 2}   # 16+16+8
     assert df["bucket_id"].nunique() == 1
+
+
+def test_tm_split_writes_one_file_per_tile(ray_session, tmp_path):
+    """`tm-split --split` on a 4x3 grid of 10 km tiles: each feature
+    lands in the task file of its centroid's tile (outside points clamp
+    to the border tile), and empty tiles get no file. Features compare
+    as sorted JSON strings, so their order within a file is free."""
+    import json
+
+    feats = [
+        ("a", "Point", [0.01, 0.01]),
+        ("b", "Point", [0.02, 0.02]),
+        ("c", "Point", [0.1, 0.01]),
+        ("d", "LineString", [[0.19, 0.15], [0.21, 0.15]]),
+        ("e", "Point", [0.5, 0.5]),
+        ("f", "Point", [0.11, 0.16]),
+        ("g", "Polygon", [[[0.005, 0.1], [0.015, 0.1], [0.015, 0.11],
+                           [0.005, 0.1]]]),
+    ]
+    src = tmp_path / "data.geojson"
+    src.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "geometry": {"type": gt, "coordinates": c},
+         "properties": {"name": name}} for name, gt, c in feats]}))
+    out = tmp_path / "tasks"
+    assert cli_main(["tm-split", "--split", str(src), "--bbox", "0", "0",
+                     "0.3", "0.2", "--meters", "10000", "-o", str(out)]) == 0
+
+    def canon(fs):
+        return sorted(json.dumps(f, sort_keys=True) for f in fs)
+
+    got = {p.name: canon(json.loads(p.read_text())["features"])
+           for p in out.iterdir()}
+    by_name = {name: {"type": "Feature",
+                      "geometry": {"type": gt, "coordinates": c},
+                      "properties": {"name": name}}
+               for name, gt, c in feats}
+    want = {f"task-{tid}.geojson": canon(by_name[n] for n in names)
+            for tid, names in {0: "ab", 1: "c", 4: "g", 5: "f", 6: "d",
+                               11: "e"}.items()}
+    assert got == want

@@ -1,11 +1,11 @@
-"""Unit tests for the numpy kernels: fuzz, cells, strtree, distance, image."""
+"""Unit tests for the numpy kernels: fuzz, cells, point-in-polygon, distance, image."""
 
 import numpy as np
 import pytest
 
 from osm_merge_ray.geo import cells as C
 from osm_merge_ray.geo.distance import haversine_m, polyline_min_dist_m, slope_angle
-from osm_merge_ray.geo.strtree import STRtree, point_in_polygon
+from osm_merge_ray.geo.polygons import point_in_polygon
 from osm_merge_ray.image import phash as P
 from osm_merge_ray.image.codec import (decode, encode, on_quant_grid, psnr, quantize,
                                        resize_box, synth_pixels)
@@ -83,22 +83,6 @@ def test_cells_parent_and_bucket():
     assert int(res[0]) == 10
     b = C.bucket_of(c, 64)
     assert 0 <= int(b[0]) < 64
-
-
-def test_strtree_matches_brute_force():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 100, (5000, 2))
-    t = STRtree(np.c_[pts, pts])
-    for _ in range(20):
-        x0, y0 = rng.uniform(0, 90, 2)
-        q = t.query(x0, y0, x0 + 7, y0 + 7)
-        brute = np.where(
-            (pts[:, 0] >= x0) & (pts[:, 0] <= x0 + 7) & (pts[:, 1] >= y0) & (pts[:, 1] <= y0 + 7)
-        )[0]
-        assert set(q.tolist()) == set(brute.tolist())
-    kn = t.knn(50, 50, 25)
-    d = ((pts - 50) ** 2).sum(1)
-    assert np.allclose(np.sort(d[kn]), np.sort(d)[:25])
 
 
 def test_point_in_polygon():

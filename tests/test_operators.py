@@ -367,15 +367,10 @@ PARITY_QUERIES = [
     "dedup_exact", "dedup_ngram_jaccard", "dedup_winnow", "dedup_embedding_cosine",
     "dedup_representatives", "dedup_semantic", "dedup_incremental",
     "graph_pagerank", "graph_triangles", "curate_corpus",
-    "events_distinct_sketch",
-    "events_retention", "events_funnel", "orders_upsert",
-    "source_weighted_sample", "events_ewma", "events_cooccurrence",
+    "events_distinct_sketch", "orders_upsert", "source_weighted_sample",
     "text_length_deciles", "events_cms_heavy_hitters",
     "text_token_count", "text_quality_score", "text_pack_sequences",
-    "knn_cosine_topk",
-    "q1_pricing_summary", "top_orders_by_revenue", "nation_revenue",
-    "events_window", "events_sliding_window", "events_sessionize",
-    "convert_nps", "events_heavy_hitters", "text_tfidf", "spatial_sample_join", "events_running_index",
+    "knn_cosine_topk", "convert_nps", "text_tfidf", "spatial_sample_join",
 ]
 
 
@@ -533,33 +528,6 @@ def test_connected_components_chains_and_singletons(ray_session):
         connected_components(rd.from_arrow(edges), rd.from_arrow(nodes)),
     ).to_pandas()
     assert sorted(kept["doc_id"]) == [1, 10, 20, 99]
-
-
-def test_events_asof_join_semantics(ray_session, tmp_path):
-    """As-of join edges: no prior right event → -1; equal timestamps
-    break by max event_id; latest-at-or-before wins."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from osm_merge_ray.pipelines.queries import events_asof_join
-
-    ts = pa.array([1_000_000, 2_000_000, 2_000_000, 3_000_000, 500_000],
-                  pa.timestamp("us"))
-    t = pa.table({
-        "event_id": pa.array([2, 4, 6, 1, 3], pa.int64()),  # evens: 2,4,6
-        "user_id": pa.array([7, 7, 7, 7, 7], pa.int64()),
-        "ts": ts,
-    })
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(t, str(d / "events.parquet"))
-    out = events_asof_join(str(d)).to_pandas().set_index("event_id")
-    # event 1 at t=3s: latest even <= 3s is t=2s; tie (4,6) → max id 6
-    assert out.loc[1, "matched_event_id"] == 6
-    assert out.loc[1, "lag_us"] == 1_000_000
-    # event 3 at t=0.5s: no even event at or before → -1
-    assert out.loc[3, "matched_event_id"] == -1
-    assert out.loc[3, "lag_us"] == -1
 
 
 def test_audio_decode_stage(ray_session):
